@@ -1,30 +1,1 @@
-"""Pure-numpy fallback for the compiled hot kernel in ``_core.pyx``.
-
-Selected at import time when the extension is unavailable (see ``backend``).
-"""
-
-import numpy as np
-
-HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-# Cap on the N x K x D temporary below (floats), so large datasets are
-# processed in sample chunks instead of one multi-GB allocation.
-_CHUNK_ELEMS = 2 ** 24
-
-
-def log_joints(weights, centroids, precision_roots, samples):
-    """Return the N x K matrix of log(pi_k) + log p_k(x_n)."""
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    const = log_w + np.sum(np.log(precision_roots), axis=1) \
-        - centroids.shape[1] * HALF_LOG_2PI
-    K, D = centroids.shape
-    N = samples.shape[0]
-    out = np.empty((N, K))
-    step = max(1, _CHUNK_ELEMS // (K * D))
-    psq = precision_roots ** 2
-    for lo in range(0, N, step):
-        diff = samples[lo:lo + step, None, :] - centroids[None, :, :]
-        out[lo:lo + step] = const - 0.5 * np.einsum("ki,nki->nk", psq, diff ** 2)
-    return out
+# Empty on purpose: the benchmark tracer (bench/tracer.py) imports this module by name.

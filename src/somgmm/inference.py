@@ -56,10 +56,12 @@ def score_report(
         raise UsageError("window must be >= 1")
     scores = batch_scores(data, model)
     n = scores.size
-    means = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - window + 1)
-        means[i] = scores[lo : i + 1].mean()
+    # Shifted-slice adds rather than a cumsum, whose differences drift at
+    # large N.
+    sums = np.zeros(n)
+    for lag in range(min(window, n)):
+        sums[lag:] += scores[: n - lag]
+    means = sums / np.minimum(np.arange(1, n + 1), window)
     verdicts = None
     threshold = None
     if reference is not None:

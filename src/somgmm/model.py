@@ -11,9 +11,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import backend
+from .backend import HALF_LOG_2PI
 from .exceptions import DataError, UsageError
-
-HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 # Bounds on the precision roots d; keeps every implied variance finite and
 # positive and stops variance collapse onto single samples.

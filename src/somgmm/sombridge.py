@@ -41,10 +41,19 @@ class SomView:
         return self.model.tied_precision_root
 
 
+# Cap on the rows x K x D difference temporary (floats) behind each block of
+# squared distances.
+_CHUNK_ELEMS = 2 ** 20
+
+
 def _convolved_sq_distances(X: np.ndarray, view: SomView) -> np.ndarray:
     """N x K matrix of sum_j g_kj ||x_n - mu_j||^2."""
-    diff = X[:, None, :] - view.prototypes[None, :, :]
-    sq = np.sum(diff * diff, axis=2)  # N x K
+    mu = view.prototypes
+    step = max(1, _CHUNK_ELEMS // mu.size)
+    sq = np.empty((X.shape[0], mu.shape[0]))
+    for lo in range(0, X.shape[0], step):
+        diff = X[lo:lo + step, None, :] - mu[None, :, :]
+        sq[lo:lo + step] = np.sum(diff * diff, axis=2)
     return sq @ view.kernel.g.T
 
 
@@ -96,7 +105,7 @@ def verify_equivalence(data: DataSet, view: SomView) -> EquivalenceReport:
     model = view.model
     K, D = model.n_components, model.dim
     d = view.d
-    constant = -math.log(K) + D * (math.log(d) - HALF_LOG_2PI)
+    constant = float(-math.log(K) + D * (math.log(d) - HALF_LOG_2PI))
 
     lj = mc.log_joint_matrix(data, model)
     lhs = np.max(lj @ view.kernel.g.T, axis=1)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_data, random_model
-from somgmm import _core_py, backend
+from somgmm import backend
+
+RTOL = 1e-12
 
 
 def _inputs(rng, K=7, D=5, N=40):
@@ -14,50 +17,96 @@ def _inputs(rng, K=7, D=5, N=40):
     return m.weights, m.centroids, m.precision_roots, x
 
 
-def test_compiled_backend_selected_when_available(rng):
-    try:
-        import somgmm._core  # noqa: F401
-    except ImportError:
-        pytest.skip("extension not built")
-    assert backend.BACKEND == "cython"
+def direct_difference(weights, centroids, precision_roots, samples):
+    """Reference log-joints: per-row differences, no expansion."""
+    with np.errstate(divide="ignore"):
+        const = (np.log(weights) + np.log(precision_roots).sum(axis=1)
+                 - centroids.shape[1] * backend.HALF_LOG_2PI)
+    psq = precision_roots ** 2
+    return np.array([const - 0.5 * np.sum(psq * (x - centroids) ** 2, axis=1)
+                     for x in samples])
 
 
-def test_backends_agree(rng):
-    try:
-        from somgmm._core import log_joints as compiled
-    except ImportError:
-        pytest.skip("extension not built")
-    for _ in range(10):
-        args = _inputs(rng)
-        a = compiled(*args)
-        b = _core_py.log_joints(*args)
-        assert np.max(np.abs(a - b)) < 1e-12
+def assert_agrees(got, want):
+    finite = np.isfinite(want)
+    assert np.array_equal(finite, np.isfinite(got))
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+    assert np.max(err, initial=0.0) <= RTOL
 
 
-def test_backends_agree_with_zero_weight(rng):
-    try:
-        from somgmm._core import log_joints as compiled
-    except ImportError:
-        pytest.skip("extension not built")
+def two_cluster_inputs(rng, separation, K=6, D=5, N=200):
+    """Half the rows and centroids sit around +separation/2, half around
+    -separation/2, so the shift (the row mean) lies far from every row."""
+    sign = np.where(np.arange(N) < N // 2, 0.5, -0.5)[:, None]
+    x = sign * separation + rng.normal(size=(N, D))
+    csign = np.where(np.arange(K) < K // 2, 0.5, -0.5)[:, None]
+    mu = csign * separation + rng.normal(size=(K, D))
+    w = rng.uniform(0.1, 1.0, K)
+    return w / w.sum(), mu, rng.uniform(0.4, 2.5, (K, D)), x
+
+
+def test_agrees_with_direct_difference(rng):
+    for K, D, N in [(7, 5, 40), (1, 1, 3), (25, 30, 100), (4, 2, 300)]:
+        for _ in range(5):
+            args = _inputs(rng, K, D, N)
+            assert_agrees(backend.log_joints(*args), direct_difference(*args))
+
+
+def test_zero_weight_component_is_minus_inf(rng):
     w, mu, d, x = _inputs(rng, K=3)
     w = np.array([0.0, 0.4, 0.6])
-    a = compiled(w, mu, d, x)
-    b = _core_py.log_joints(w, mu, d, x)
-    assert np.all(a[:, 0] == -np.inf) and np.all(b[:, 0] == -np.inf)
-    assert np.max(np.abs(a[:, 1:] - b[:, 1:])) < 1e-12
+    got = backend.log_joints(w, mu, d, x)
+    assert np.all(got[:, 0] == -np.inf)
+    assert_agrees(got, direct_difference(w, mu, d, x))
 
 
-def test_fallback_chunking_matches_single_pass(rng, monkeypatch):
+def test_common_offset(rng):
+    w, mu, d, x = _inputs(rng, N=100)
+    for offset in (1e3, 1e6):
+        args = (w, mu + offset, d, x + offset)
+        assert_agrees(backend.log_joints(*args), direct_difference(*args))
+
+
+@pytest.mark.parametrize("separation", [1e2, 1e4, 1e6])
+def test_separated_clusters_keep_precision_and_argmax(rng, separation):
+    args = two_cluster_inputs(rng, separation)
+    got = backend.log_joints(*args)
+    want = direct_difference(*args)
+    assert_agrees(got, want)
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+def test_guard_is_what_keeps_separated_clusters_exact(rng, monkeypatch):
+    args = two_cluster_inputs(rng, 1e6)
+    monkeypatch.setattr(backend, "GUARD_RTOL", np.inf)  # never re-evaluate
+    unguarded = backend.log_joints(*args)
+    want = direct_difference(*args)
+    err = np.abs(unguarded - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err) > RTOL
+
+
+def test_single_row(rng):
+    w, mu, d, x = _inputs(rng)
+    for offset in (0.0, 1e6):
+        row = x[:1] + offset
+        got = backend.log_joints(w, mu + offset, d, row)
+        assert got.shape == (1, 7)
+        assert_agrees(got, direct_difference(w, mu + offset, d, row))
+
+
+def test_row_chunking_matches_single_pass(rng, monkeypatch):
     args = _inputs(rng, N=100)
-    whole = _core_py.log_joints(*args)
-    monkeypatch.setattr(_core_py, "_CHUNK_ELEMS", 64)  # force many chunks
-    chunked = _core_py.log_joints(*args)
+    whole = backend.log_joints(*args)
+    monkeypatch.setattr(backend, "CHUNK_ROWS", 8)  # force many chunks
+    chunked = backend.log_joints(*args)
     assert np.array_equal(whole, chunked)
 
 
-def test_env_var_forces_fallback():
-    code = ("import os; os.environ['SOMGMM_BACKEND']='python'; "
-            "from somgmm import backend; print(backend.BACKEND)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+def test_backend_is_python_whatever_the_environment():
+    code = "import somgmm; print(somgmm.BACKEND)"
+    for value in ("python", "cython", ""):
+        env = dict(os.environ, SOMGMM_BACKEND=value)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "python"

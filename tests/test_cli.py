@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,19 @@ class TestVerifyEquivalence:
         out = capsys.readouterr().out
         err = float(out.split("max_abs_err=")[1].split()[0])
         assert err <= 1e-10
+
+    def test_output_prints_plain_floats(self, trained, capsys):
+        data = trained / "eq.csv"
+        save_csv(four_cluster_data(4), data)
+        rc = cli.main(["verify-equivalence",
+                       "--model", str(trained / "out" / "model.ckpt"),
+                       "--data", str(data)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        m = re.fullmatch(r"max_abs_err=(\S+) constant=(\S+)", out.strip())
+        assert m is not None
+        assert all(np.isfinite([float(v) for v in m.groups()]))
 
     def test_untied_checkpoint_exit_1(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path, tied=False, total_iters=100)

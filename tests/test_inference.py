@@ -69,6 +69,15 @@ class TestScoreReport:
                 rep.scores[lo:i + 1].mean(), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n, window", [(40, 1), (40, 10), (7, 12), (1, 1), (1, 5)])
+    def test_window_means_match_loop_definition(self, rng, n, window):
+        m = random_model(rng, 3, 2)
+        rep = score_report(random_data(rng, n, 2), m, window=window)
+        want = np.array([rep.scores[max(0, i - window + 1):i + 1].mean()
+                         for i in range(n)])
+        err = np.abs(rep.window_means - want) / np.maximum(1.0, np.abs(want))
+        assert np.max(err) <= 1e-12
+
     def test_verdicts_against_reference(self, rng):
         m = separated_model()
         inliers = DataSet(m.centroids + 0.1 * rng.standard_normal((4, 2)))

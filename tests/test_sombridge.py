@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_data, random_model
 from somgmm.exceptions import UsageError
+from somgmm import sombridge
 from somgmm.model import DataSet, MixtureModel
 from somgmm.sombridge import (
     SomView,
@@ -58,6 +59,13 @@ class TestSomEnergy:
                 best = min(best, conv)
             total += best
         assert som_energy(data, view) == pytest.approx(total / 6, rel=1e-12)
+
+    def test_row_chunking_is_bitwise(self, rng, monkeypatch):
+        view = tied_view(rng, K=9, D=5, sigma=0.7)
+        X = random_data(rng, 50, 5).samples
+        whole = sombridge._convolved_sq_distances(X, view)
+        monkeypatch.setattr(sombridge, "_CHUNK_ELEMS", 2 * 9 * 5 + 1)  # 2 rows
+        assert np.array_equal(sombridge._convolved_sq_distances(X, view), whole)
 
 
 class TestBmu:
