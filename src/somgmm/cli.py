@@ -12,8 +12,8 @@ import numpy as np
 from . import inference, io as sio, sombridge
 from .exceptions import DataError, NumericsError, UsageError
 from .model import DataSet
-from .topology import build_kernel
-from .trainer import run as train_run
+from .topology import AnnealingSchedule, build_kernel
+from .trainer import TrainConfig, run as train_run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,11 +35,52 @@ def _load_data(path, fmt="auto") -> DataSet:
     raise UsageError(f"unknown data format {fmt!r}")
 
 
+def to_train_config(cfg: dict) -> TrainConfig:
+    """Map a parsed run config (see ``io.load_config``) onto a validated
+    TrainConfig; fractional times "0.3T" scale with total_iters."""
+    for key in ("loss_regime", "components", "total_iters", "eps0", "eps_inf",
+                "t0", "t_inf", "seed", "data"):
+        if key not in cfg:
+            raise UsageError(f"config is missing required key {key!r}")
+    if ("sigma0" in cfg) != ("sigma_inf" in cfg):
+        raise UsageError("config must set sigma0 and sigma_inf together")
+
+    def iteration(key):
+        v = cfg[key]
+        if isinstance(v, str):  # "0.3T" form
+            return float(v[:-1]) * cfg["total_iters"]
+        return v
+
+    t0, t_inf = iteration("t0"), iteration("t_inf")
+    conv = cfg["tau_convention"]
+    eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf, conv)
+    sigma_schedule = None
+    if "sigma0" in cfg:
+        sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf, conv)
+    return TrainConfig(
+        loss_regime=cfg["loss_regime"],
+        n_components=cfg["components"],
+        total_iters=cfg["total_iters"],
+        eps_schedule=eps_schedule,
+        sigma_schedule=sigma_schedule,
+        grid=cfg["grid"],
+        periodic=cfg["periodic"],
+        batch_size=cfg["batch_size"],
+        centroid_scale=cfg["centroid_scale"],
+        init_dsq=cfg["init_dsq"],
+        init_mode=cfg["init_mode"],
+        tied_spherical=cfg["tied"],
+        train_weights=cfg["train_weights"],
+        train_precisions=cfg["train_precisions"],
+        seed=cfg["seed"],
+        diag_every=cfg["diag_every"],
+        shuffle=cfg["shuffle"],
+    ).validate()
+
+
 def _cmd_train(args):
     cfg = sio.load_config(args.config)
-    tc = cfg.to_train_config()
-    if "data" not in cfg.values:
-        raise UsageError("config is missing the data path")
+    tc = to_train_config(cfg)
     data = _load_data(cfg["data"], cfg["data_format"])
     state = train_run(tc, data)
 
@@ -101,8 +142,7 @@ def _cmd_sample(args):
     if args.out:
         sio.save_csv(out, args.out)
     else:
-        for row in drawn:
-            print(",".join(repr(float(v)) for v in row))
+        sys.stdout.writelines(sio.csv_lines(drawn))
     return 0
 
 

@@ -13,9 +13,7 @@ from .model import DataSet, MixtureModel
 def outlier_score(x, model: MixtureModel) -> float:
     """Single-sample score max_k [log pi_k + log p_k(x)], in nats; higher
     means more likely inlier."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise UsageError(f"expected a vector of dimension {model.dim}")
+    x = mc.as_vector(x, model)
     lj = mc.log_joint_matrix(DataSet(x[None, :]), model)
     return float(np.max(lj[0]))
 

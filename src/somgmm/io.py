@@ -14,7 +14,6 @@ import numpy as np
 from .exceptions import DataError, UsageError
 from .model import DataSet, MixtureModel
 from .topology import AnnealingSchedule, GridTopology
-from .trainer import TrainConfig
 
 CHECKPOINT_MAGIC = "SOMGMMCKPT"
 CHECKPOINT_VERSION = 1
@@ -92,10 +91,15 @@ def load_csv(path) -> DataSet:
     return DataSet(np.array(rows), {"source": str(path), "format": "csv"})
 
 
+def csv_lines(samples: np.ndarray):
+    """Yield one headerless CSV line per row, floats in round-trip repr."""
+    for row in samples:
+        yield ",".join(repr(float(v)) for v in row) + "\n"
+
+
 def save_csv(data: DataSet, path):
     with open(path, "w") as fh:
-        for row in data.samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(csv_lines(data.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +232,42 @@ def emit_schedule_trace(history, path):
 # ---------------------------------------------------------------------------
 # Run configuration (flat key=value text file)
 
+def _parse_bool(raw):
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_time(raw):
+    """An iteration count, or a fraction of total_iters written "0.3T"."""
+    if raw.endswith(("T", "t")):
+        float(raw[:-1])  # validate the fraction now
+        return raw[:-1] + "T"
+    return float(raw)
+
+
 _CONFIG_KEYS = {
     "loss_regime": str,
     "components": int,
     "grid": str,
-    "periodic": bool,
+    "periodic": _parse_bool,
     "batch_size": int,
     "total_iters": int,
     "sigma0": float,
     "sigma_inf": float,
     "eps0": float,
     "eps_inf": float,
-    "t0": "time",
-    "t_inf": "time",
+    "t0": _parse_time,
+    "t_inf": _parse_time,
     "tau_convention": str,
     "centroid_scale": float,
     "init_dsq": float,
     "init_mode": str,
-    "tied": bool,
-    "train_weights": bool,
-    "train_precisions": bool,
+    "tied": _parse_bool,
+    "train_weights": _parse_bool,
+    "train_precisions": _parse_bool,
     "seed": int,
     "diag_every": int,
     "shuffle": str,
@@ -276,68 +296,9 @@ _DEFAULTS = {
 }
 
 
-def _parse_bool(v, key):
-    if v.lower() in ("true", "1", "yes"):
-        return True
-    if v.lower() in ("false", "0", "no"):
-        return False
-    raise UsageError(f"config key {key}: expected a boolean, got {v!r}")
-
-
-@dataclass
-class RunConfig:
-    """Parsed flat config; wraps everything the train subcommand needs."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def _time(self, key):
-        v = self.values[key]
-        if isinstance(v, str):  # "0.3T" form
-            return float(v[:-1]) * self.values["total_iters"]
-        return v
-
-    def to_train_config(self) -> TrainConfig:
-        v = self.values
-        for key in ("loss_regime", "components", "total_iters", "eps0", "eps_inf",
-                    "t0", "t_inf"):
-            if key not in v:
-                raise UsageError(f"config is missing required key {key!r}")
-        if "seed" not in v:
-            raise UsageError("config must set an rng seed (reproducibility contract)")
-        t0, t_inf = self._time("t0"), self._time("t_inf")
-        conv = v["tau_convention"]
-        eps_schedule = AnnealingSchedule(v["eps0"], v["eps_inf"], t0, t_inf, conv)
-        sigma_schedule = None
-        if "sigma0" in v:
-            sigma_schedule = AnnealingSchedule(v["sigma0"], v["sigma_inf"], t0, t_inf, conv)
-        return TrainConfig(
-            loss_regime=v["loss_regime"],
-            n_components=v["components"],
-            total_iters=v["total_iters"],
-            eps_schedule=eps_schedule,
-            sigma_schedule=sigma_schedule,
-            grid=v["grid"],
-            periodic=v["periodic"],
-            batch_size=v["batch_size"],
-            centroid_scale=v["centroid_scale"],
-            init_dsq=v["init_dsq"],
-            init_mode=v["init_mode"],
-            tied_spherical=v["tied"],
-            train_weights=v["train_weights"],
-            train_precisions=v["train_precisions"],
-            seed=v["seed"],
-            diag_every=v["diag_every"],
-            shuffle=v["shuffle"],
-        ).validate()
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
+    """Parse a flat key=value config into a dict over the defaults; times
+    given as a fraction of total_iters keep the form "0.3T"."""
     values = dict(_DEFAULTS)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -350,23 +311,13 @@ def load_config(path) -> RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            if kind is bool:
-                values[key] = _parse_bool(raw, key)
-            elif kind == "time":
-                if raw.endswith(("T", "t")):
-                    float(raw[:-1])  # validate the fraction now
-                    values[key] = raw[:-1] + "T"
-                else:
-                    values[key] = float(raw)
-            else:
-                try:
-                    values[key] = kind(raw)
-                except ValueError:
-                    raise UsageError(
-                        f"{path}: line {lineno}: bad value {raw!r} for {key}"
-                    ) from None
-    return RunConfig(values)
+            try:
+                values[key] = _CONFIG_KEYS[key](raw)
+            except ValueError:
+                raise UsageError(
+                    f"{path}: line {lineno}: bad value {raw!r} for {key}"
+                ) from None
+    return values
 
 
 def sha256_file(path) -> str:

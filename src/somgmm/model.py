@@ -129,6 +129,14 @@ def _check_dims(data: DataSet, model: MixtureModel):
         raise UsageError(f"data dimension {data.dim} != model dimension {model.dim}")
 
 
+def as_vector(x, model: MixtureModel) -> np.ndarray:
+    """x as a float64 vector of the model's dimension."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.dim,):
+        raise UsageError(f"expected a vector of dimension {model.dim}")
+    return x
+
+
 def component_log_density(x, model: MixtureModel, k: int) -> float:
     """log p_k(x) for the diagonal Gaussian of component k."""
     x = np.asarray(x, dtype=np.float64)
@@ -162,16 +170,20 @@ def max_component_log_likelihood(data: DataSet, model: MixtureModel) -> float:
     return float(np.mean(np.max(lj, axis=1)))
 
 
-def smoothed_log_likelihood(data: DataSet, model: MixtureModel, kernel) -> float:
-    """Mean over samples of max_k sum_j g_kj [log pi_j + log p_j(x_n)]."""
+def smoothed_log_joints(data: DataSet, model: MixtureModel, kernel) -> np.ndarray:
+    """N x K matrix of sum_j g_kj [log pi_j + log p_j(x_n)]."""
     g = kernel.g
     if g.shape != (model.n_components, model.n_components):
         raise UsageError("kernel size does not match the model's component count")
     # Clamp -inf joints (zero weights) so identity-kernel zeros cannot
     # produce 0 * -inf = nan in the convolution.
     lj = np.maximum(log_joint_matrix(data, model), -1e300)
-    smoothed = lj @ g.T
-    return float(np.mean(np.max(smoothed, axis=1)))
+    return lj @ g.T
+
+
+def smoothed_log_likelihood(data: DataSet, model: MixtureModel, kernel) -> float:
+    """Mean over samples of max_k sum_j g_kj [log pi_j + log p_j(x_n)]."""
+    return float(np.mean(np.max(smoothed_log_joints(data, model, kernel), axis=1)))
 
 
 def responsibilities(data: DataSet, model: MixtureModel) -> Responsibilities:

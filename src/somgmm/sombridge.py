@@ -69,7 +69,7 @@ def bmu(x, view: SomView) -> int:
     """Best-matching unit: argmin of the kernel-convolved squared distance,
     lowest index on ties.  Identity kernel gives the classic nearest
     prototype."""
-    x = np.asarray(x, dtype=np.float64)
+    x = mc.as_vector(x, view.model)
     conv = _convolved_sq_distances(x[None, :], view)
     return int(np.argmin(conv[0]))
 
@@ -79,7 +79,7 @@ def som_update(view: SomView, x, epsilon: float):
     kernel coupling with the BMU."""
     if epsilon < 0:
         raise UsageError("epsilon must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
+    x = mc.as_vector(x, view.model)
     winner = bmu(x, view)
     coeff = epsilon * view.kernel.g[winner]
     neighborhood_pull(view.prototypes, coeff, x)
@@ -107,8 +107,7 @@ def verify_equivalence(data: DataSet, view: SomView) -> EquivalenceReport:
     d = view.d
     constant = float(-math.log(K) + D * (math.log(d) - HALF_LOG_2PI))
 
-    lj = mc.log_joint_matrix(data, model)
-    lhs = np.max(lj @ view.kernel.g.T, axis=1)
+    lhs = np.max(mc.smoothed_log_joints(data, model, view.kernel), axis=1)
 
     conv = _convolved_sq_distances(data.samples, view)
     rhs = constant - 0.5 * d * d * np.min(conv, axis=1)

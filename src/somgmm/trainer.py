@@ -123,29 +123,34 @@ def _safe_ratio(num, den):
     return out
 
 
-def grad_exact(batch: DataSet, model: MixtureModel):
-    """Analytic gradients of the full log-likelihood, averaged over the batch.
+def _moment_gradients(X: np.ndarray, W: np.ndarray, model: MixtureModel):
+    """Batch-averaged gradients of sum_k W_nk log[pi_k p_k(x_n)] with the
+    N x K sample weights W held fixed: the weighted moments of the data that
+    every regime's gradient is made of.
 
     Returns (gmu, gd, gpi) in the d-parameterization: the precision gradient
     is taken with respect to the precision roots d via P = D*D.
     """
-    gamma = mc.responsibilities(batch, model).gamma  # N x K
-    X = batch.samples
     N = X.shape[0]
     d = model.precision_roots
     diff = X[:, None, :] - model.centroids[None, :, :]  # N x K x D
-    gmu = np.einsum("nk,ki,nki->ki", gamma, d * d, diff) / N
-    gd = np.einsum("nk,nki->ki", gamma, 1.0 / d - d * diff * diff) / N
-    gpi = _safe_ratio(gamma.mean(axis=0), model.weights)
+    gmu = np.einsum("nk,ki,nki->ki", W, d * d, diff) / N
+    gd = np.einsum("nk,nki->ki", W, 1.0 / d - d * diff * diff) / N
+    gpi = _safe_ratio(W.mean(axis=0), model.weights)
     return gmu, gd, gpi
+
+
+def grad_exact(batch: DataSet, model: MixtureModel):
+    """Analytic gradients of the full log-likelihood, averaged over the batch:
+    each sample weighted by its responsibilities."""
+    gamma = mc.responsibilities(batch, model).gamma  # N x K
+    return _moment_gradients(batch.samples, gamma, model)
 
 
 def _winner_rows(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel):
     """Per-sample argmax row of the smoothed scores plus its kernel coupling."""
-    # Zero-weight components contribute -inf log-joints; clamp so kernel
-    # zeros do not turn the convolution into nan.
-    lj = np.maximum(mc.log_joint_matrix(batch, model), -1e300)
-    winners = np.argmax(lj @ kernel.g.T, axis=1)  # ties: lowest index
+    scores = mc.smoothed_log_joints(batch, model, kernel)
+    winners = np.argmax(scores, axis=1)  # ties: lowest index
     return winners, kernel.g[winners]  # N, N x K
 
 
@@ -156,17 +161,8 @@ def grad_smoothed(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKerne
     With the identity kernel this is exactly the max-component (hard
     assignment) gradient.
     """
-    if kernel.g.shape[0] != model.n_components:
-        raise UsageError("kernel size does not match the model")
-    X = batch.samples
-    N = X.shape[0]
     _, coupling = _winner_rows(batch, model, kernel)
-    d = model.precision_roots
-    diff = X[:, None, :] - model.centroids[None, :, :]
-    gmu = np.einsum("nj,ji,nji->ji", coupling, d * d, diff) / N
-    gd = np.einsum("nj,nji->ji", coupling, 1.0 / d - d * diff * diff) / N
-    gpi = _safe_ratio(coupling.mean(axis=0), model.weights)
-    return gmu, gd, gpi
+    return _moment_gradients(batch.samples, coupling, model)
 
 
 def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -114,6 +114,20 @@ image_cols = 2
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("t0 = 0.3T", "t0 = abcT"),
+        ("sigma_inf = 0.01\n", ""),
+        ("sigma0 = 1.0\n", ""),
+        ("tied = true", "tied = maybe"),
+    ])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, old, new):
+        cfg = write_training_setup(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "Traceback" not in err
+
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)
         (tmp_path / "train.csv").unlink()
@@ -174,6 +188,14 @@ class TestSample:
                              "-n", "5", "--seed", "42"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_stdout_matches_file_bytes(self, trained, tmp_path, capsysbinary):
+        out = tmp_path / "drawn.csv"
+        args = ["sample", "--model", str(trained / "out" / "model.ckpt"),
+                "-n", "7", "--seed", "3"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert cli.main(args) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_zero_count_exit_1(self, trained, capsys):
         rc = cli.main(["sample", "--model", str(trained / "out" / "model.ckpt"),

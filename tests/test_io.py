@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_model
+from somgmm.cli import to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
     Checkpoint,
-    RunConfig,
     emit_centroid_grid,
     emit_schedule_trace,
     load_checkpoint,
@@ -271,8 +271,7 @@ data_format = idx
     def test_full_scale_hyperparameters_expressible(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(self.FULL_SCALE_CFG)
-        cfg = load_config(path)
-        tc = cfg.to_train_config()
+        tc = to_train_config(load_config(path))
         assert tc.n_components == 25
         assert tc.total_iters == 24000
         assert tc.sigma_schedule.t0 == pytest.approx(7200)
@@ -291,16 +290,16 @@ data_format = idx
         path = tmp_path / "noseed.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("seed = 1\n", ""))
         with pytest.raises(UsageError, match="seed"):
-            load_config(path).to_train_config()
+            to_train_config(load_config(path))
 
     def test_invalid_schedule_rejected_before_training(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("sigma_inf = 0.01", "sigma_inf = 5.0"))
         with pytest.raises(UsageError):
-            load_config(path).to_train_config()
+            to_train_config(load_config(path))
 
     def test_non_square_2d_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("components = 25", "components = 24"))
         with pytest.raises(UsageError):
-            load_config(path).to_train_config()
+            to_train_config(load_config(path))

@@ -98,6 +98,16 @@ class TestBmu:
         view.model.centroids *= 3.0
         assert bmu(3.0 * x, view) == k1
 
+    def test_dimension_mismatch(self, rng):
+        view = tied_view(rng, D=3)
+        before = view.prototypes.copy()
+        for x in (np.array([0.3]), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(UsageError, match="dimension 3"):
+                bmu(x, view)
+            with pytest.raises(UsageError, match="dimension 3"):
+                som_update(view, x, 0.5)
+        assert np.array_equal(view.prototypes, before)
+
 
 class TestSomUpdate:
     def test_full_step_jumps_to_sample(self, rng):
