@@ -35,6 +35,13 @@ def _load_data(path, fmt="auto") -> DataSet:
     raise UsageError(f"unknown data format {fmt!r}")
 
 
+# Config key -> TrainConfig field; keys the file omits take the field defaults.
+_TRAIN_FIELDS = {key: key for key in (
+    "loss_regime", "total_iters", "grid", "periodic", "batch_size", "centroid_scale",
+    "init_dsq", "init_mode", "train_weights", "train_precisions", "seed",
+    "diag_every", "shuffle")} | {"components": "n_components", "tied": "tied_spherical"}
+
+
 def to_train_config(cfg: dict) -> TrainConfig:
     """Map a parsed run config (see ``io.load_config``) onto a validated
     TrainConfig; fractional times "0.3T" scale with total_iters."""
@@ -52,36 +59,22 @@ def to_train_config(cfg: dict) -> TrainConfig:
         return v
 
     t0, t_inf = iteration("t0"), iteration("t_inf")
-    conv = cfg["tau_convention"]
-    eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf, conv)
+    conv = {"convention": cfg["tau_convention"]} if "tau_convention" in cfg else {}
+    eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf, **conv)
     sigma_schedule = None
     if "sigma0" in cfg:
-        sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf, conv)
-    return TrainConfig(
-        loss_regime=cfg["loss_regime"],
-        n_components=cfg["components"],
-        total_iters=cfg["total_iters"],
-        eps_schedule=eps_schedule,
-        sigma_schedule=sigma_schedule,
-        grid=cfg["grid"],
-        periodic=cfg["periodic"],
-        batch_size=cfg["batch_size"],
-        centroid_scale=cfg["centroid_scale"],
-        init_dsq=cfg["init_dsq"],
-        init_mode=cfg["init_mode"],
-        tied_spherical=cfg["tied"],
-        train_weights=cfg["train_weights"],
-        train_precisions=cfg["train_precisions"],
-        seed=cfg["seed"],
-        diag_every=cfg["diag_every"],
-        shuffle=cfg["shuffle"],
-    ).validate()
+        sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf, **conv)
+    fields = {name: cfg[key] for key, name in _TRAIN_FIELDS.items() if key in cfg}
+    return TrainConfig(eps_schedule=eps_schedule, sigma_schedule=sigma_schedule,
+                       **fields).validate()
 
 
 def _cmd_train(args):
     cfg = sio.load_config(args.config)
     tc = to_train_config(cfg)
     data = _load_data(cfg["data"], cfg["data_format"])
+    shape = (cfg.get("image_rows", 1), cfg.get("image_cols", data.dim))
+    sio.check_image_shape(shape, data.dim)
     state = train_run(tc, data)
 
     outdir = Path(cfg["output_dir"])
@@ -89,7 +82,7 @@ def _cmd_train(args):
     ckpt = sio.Checkpoint(
         model=state.model,
         loss_regime=tc.loss_regime,
-        topology=tc.topology(),
+        topology=state.topology,
         eps_schedule=tc.eps_schedule,
         sigma_schedule=tc.sigma_schedule,
         iteration=state.t,
@@ -101,8 +94,7 @@ def _cmd_train(args):
         },
     )
     sio.save_checkpoint(outdir / "model.ckpt", ckpt)
-    shape = (cfg.get("image_rows", 1), cfg.get("image_cols", data.dim))
-    sio.emit_centroid_grid(state.model, tc.topology(), shape, outdir / "centroids.pgm")
+    sio.emit_centroid_grid(state.model, state.topology, shape, outdir / "centroids.pgm")
     sio.emit_schedule_trace(state.history, outdir / "history.csv")
     print(f"trained {tc.total_iters} iterations; artifacts in {outdir}")
     return 0
@@ -227,7 +219,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -6,7 +6,7 @@ import hashlib
 import io as _io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,25 +67,37 @@ def write_idx(data: DataSet, path):
 # ---------------------------------------------------------------------------
 # Headerless CSV
 
+def _text_lines(path, error):
+    """Yield the lines of a text file; undecodable bytes or a NUL byte (which
+    no path or number may hold) raise ``error``."""
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if "\0" in line:
+                    raise ValueError("NUL byte")
+                yield line
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{path}: not a text file: {exc}") from None
+
+
 def load_csv(path) -> DataSet:
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(_text_lines(path, DataError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+            )
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return DataSet(np.array(rows), {"source": str(path), "format": "csv"})
@@ -119,10 +131,7 @@ class Checkpoint:
 
 
 def _schedule_dict(s):
-    if s is None:
-        return None
-    return {"value0": s.value0, "value_inf": s.value_inf, "t0": s.t0,
-            "t_inf": s.t_inf, "convention": s.convention}
+    return None if s is None else asdict(s)
 
 
 def _schedule_from(d):
@@ -134,9 +143,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     meta = {
         "version": CHECKPOINT_VERSION,
         "loss_regime": ckpt.loss_regime,
-        "topology": {"kind": ckpt.topology.kind,
-                     "n_components": ckpt.topology.n_components,
-                     "periodic": ckpt.topology.periodic},
+        "topology": asdict(ckpt.topology),
         "eps_schedule": _schedule_dict(ckpt.eps_schedule),
         "sigma_schedule": _schedule_dict(ckpt.sigma_schedule),
         "iteration": ckpt.iteration,
@@ -158,49 +165,64 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode(errors="replace").split()
-        if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        if int(magic[1]) != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {magic[1]}")
-        meta = json.loads(fh.readline().decode())
-        binline = fh.readline().decode().split()
-        if len(binline) != 3 or binline[0] != "BINARY":
-            raise DataError(f"{path}: malformed binary section header")
-        nbytes, digest = int(binline[1]), binline[2]
-        payload = fh.read()
-    if len(payload) != nbytes or hashlib.sha256(payload).hexdigest() != digest:
-        raise DataError(f"{path}: checksum mismatch (corrupt or truncated)")
-    buf = _io.BytesIO(payload)
-    weights = np.load(buf, allow_pickle=False)
-    centroids = np.load(buf, allow_pickle=False)
-    droots = np.load(buf, allow_pickle=False)
-    model = MixtureModel(weights, centroids, droots, meta["tied_spherical"])
-    top = GridTopology(**meta["topology"])
-    return Checkpoint(
-        model=model,
-        loss_regime=meta["loss_regime"],
-        topology=top,
-        eps_schedule=_schedule_from(meta["eps_schedule"]),
-        sigma_schedule=_schedule_from(meta["sigma_schedule"]),
-        iteration=meta["iteration"],
-        seed=meta["seed"],
-        rng_state=meta["rng_state"],
-        provenance=meta.get("provenance", {}),
-    )
+    """Read a checkpoint and validate its model; a malformed file of any kind
+    is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.readline().decode(errors="replace").split()
+            if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
+                raise DataError(f"{path}: not a checkpoint file")
+            if int(magic[1]) != CHECKPOINT_VERSION:
+                raise DataError(f"{path}: unsupported checkpoint version {magic[1]}")
+            meta = json.loads(fh.readline().decode())
+            binline = fh.readline().decode().split()
+            if len(binline) != 3 or binline[0] != "BINARY":
+                raise DataError(f"{path}: malformed binary section header")
+            nbytes, digest = int(binline[1]), binline[2]
+            payload = fh.read()
+        if len(payload) != nbytes or hashlib.sha256(payload).hexdigest() != digest:
+            raise DataError(f"{path}: checksum mismatch (corrupt or truncated)")
+        buf = _io.BytesIO(payload)
+        weights = np.load(buf, allow_pickle=False)
+        centroids = np.load(buf, allow_pickle=False)
+        droots = np.load(buf, allow_pickle=False)
+        model = MixtureModel(weights, centroids, droots, meta["tied_spherical"]).validate()
+        top = GridTopology(**meta["topology"])
+        if top.n_components != model.n_components:
+            raise ValueError("topology and model differ in component count")
+        return Checkpoint(
+            model=model,
+            loss_regime=meta["loss_regime"],
+            topology=top,
+            eps_schedule=_schedule_from(meta["eps_schedule"]),
+            sigma_schedule=_schedule_from(meta["sigma_schedule"]),
+            iteration=meta["iteration"],
+            seed=meta["seed"],
+            rng_state=meta["rng_state"],
+            provenance=dict(meta.get("provenance", {})),
+        )
+    except DataError:
+        raise
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Fig-style artifacts
 
+def check_image_shape(image_shape, dim):
+    """A centroid tile shape must have positive sides and hold ``dim`` pixels."""
+    h, w = image_shape
+    if h < 1 or w < 1 or h * w != dim:
+        raise UsageError(f"image shape {image_shape} does not match dimension {dim}")
+
+
 def emit_centroid_grid(model: MixtureModel, topology: GridTopology, image_shape, path):
     """Tile the centroids on their grid as one P5 PGM image, each tile
     linearly mapped to 0..255 (flat tiles render mid-gray), 1-pixel
     separators between tiles."""
+    check_image_shape(image_shape, model.dim)
     h, w = image_shape
-    if h * w != model.dim:
-        raise UsageError(f"image shape {image_shape} does not match dimension {model.dim}")
     rows, cols = topology.shape
     H = rows * h + (rows - 1)
     W = cols * w + (cols - 1)
@@ -278,45 +300,31 @@ _CONFIG_KEYS = {
     "image_cols": int,
 }
 
-_DEFAULTS = {
-    "grid": "2d",
-    "periodic": True,
-    "batch_size": 1,
-    "tau_convention": "continuous",
-    "centroid_scale": 0.01,
-    "init_dsq": 5.0,
-    "init_mode": "random",
-    "tied": False,
-    "train_weights": False,
-    "train_precisions": False,
-    "diag_every": 100,
-    "shuffle": "replacement",
-    "data_format": "csv",
-    "output_dir": ".",
-}
+# File-level keys only; training keys the file omits take TrainConfig's defaults.
+_DEFAULTS = {"data_format": "csv", "output_dir": "."}
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value config into a dict over the defaults; times
-    given as a fraction of total_iters keep the form "0.3T"."""
+    """Parse a flat key=value config into a dict over the file-level
+    defaults, holding only the training keys the file sets; times given as a
+    fraction of total_iters keep the form "0.3T"."""
     values = dict(_DEFAULTS)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: line {lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](raw)
-            except ValueError:
-                raise UsageError(
-                    f"{path}: line {lineno}: bad value {raw!r} for {key}"
-                ) from None
+    for lineno, line in enumerate(_text_lines(path, UsageError), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}: line {lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](raw)
+        except ValueError:
+            raise UsageError(
+                f"{path}: line {lineno}: bad value {raw!r} for {key}"
+            ) from None
     return values
 
 

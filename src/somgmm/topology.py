@@ -2,7 +2,8 @@
 schedule for the radius sigma(t) and the learning rate eps(t)."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,20 @@ class GridTopology:
         side = math.isqrt(self.n_components)
         return (side, side)
 
-    @property
-    def coords(self):
-        """K x 2 integer coordinates c(k), row-major."""
+    @cached_property
+    def distance_sq(self):
+        """K x K squared distances between row-major cell coordinates; computed
+        once, and read-only because every kernel on this grid shares it."""
         rows, cols = self.shape
         k = np.arange(self.n_components)
-        return np.stack([k // cols, k % cols], axis=1)
+        coords = np.stack([k // cols, k % cols], axis=1)
+        delta = np.abs(coords[:, None, :] - coords[None, :, :])
+        if self.periodic:
+            extent = np.array(self.shape)
+            delta = np.minimum(delta, extent - delta)
+        dist2 = np.sum(delta * delta, axis=2).astype(np.float64)
+        dist2.setflags(write=False)
+        return dist2
 
 
 def grid_distance_sq(topology: GridTopology, j: int, k: int) -> float:
@@ -54,21 +63,7 @@ def grid_distance_sq(topology: GridTopology, j: int, k: int) -> float:
     K = topology.n_components
     if not (0 <= j < K and 0 <= k < K):
         raise UsageError("grid index out of range")
-    coords = topology.coords
-    delta = np.abs(coords[j] - coords[k])
-    if topology.periodic:
-        extent = np.array(topology.shape)
-        delta = np.minimum(delta, extent - delta)
-    return float(np.sum(delta * delta))
-
-
-def _pairwise_distance_sq(topology: GridTopology) -> np.ndarray:
-    coords = topology.coords
-    delta = np.abs(coords[:, None, :] - coords[None, :, :])
-    if topology.periodic:
-        extent = np.array(topology.shape)
-        delta = np.minimum(delta, extent - delta)
-    return np.sum(delta * delta, axis=2).astype(np.float64)
+    return float(topology.distance_sq[j, k])
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,7 @@ def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     K = topology.n_components
     if sigma < IDENTITY_SIGMA:
         return NeighborhoodKernel(np.eye(K), sigma)
-    dist2 = _pairwise_distance_sq(topology)
-    g = np.exp(-dist2 / (2.0 * sigma * sigma))
+    g = np.exp(-topology.distance_sq / (2.0 * sigma * sigma))
     g /= g.sum(axis=1, keepdims=True)
     return NeighborhoodKernel(g, sigma)
 
@@ -117,10 +111,12 @@ class AnnealingSchedule:
     convention: str = "continuous"
 
     def __post_init__(self):
-        if not (self.value0 >= self.value_inf > 0):
-            raise UsageError("schedule requires value0 >= value_inf > 0")
-        if not (self.t_inf > self.t0 >= 0):
-            raise UsageError("schedule requires t_inf > t0 >= 0")
+        # A finite ratio keeps tau, and so every value, finite.
+        if not (self.value0 >= self.value_inf > 0
+                and math.isfinite(self.value0 / self.value_inf)):
+            raise UsageError("schedule requires value0 >= value_inf > 0, finite ratio")
+        if not (math.isfinite(self.t_inf) and self.t_inf > self.t0 >= 0):
+            raise UsageError("schedule requires finite t_inf > t0 >= 0")
         if self.convention not in ("continuous", "literal"):
             raise UsageError(f"unknown tau convention {self.convention!r}")
 

@@ -57,6 +57,11 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1")
         if self.total_iters < 1:
             raise UsageError("total_iters must be >= 1")
+        if self.diag_every < 1:
+            raise UsageError("diag_every must be >= 1")
+        # rng.uniform(-s, s) needs a finite, non-negative range 2s.
+        if not 0.0 <= 2.0 * self.centroid_scale < math.inf:
+            raise UsageError("centroid_scale must be finite and non-negative")
         if not D_MIN ** 2 <= self.init_dsq <= D_MAX ** 2:
             raise UsageError("initial precision outside the allowed bounds")
         if self.init_mode not in ("random", "data_mean"):
@@ -101,6 +106,7 @@ class TrainState:
     model: MixtureModel
     t: int
     rng: np.random.Generator
+    topology: GridTopology  # the run's one grid; every kernel rebuild uses it
     history: list = field(default_factory=list)
     kernel: NeighborhoodKernel | None = None
     probe: DataSet | None = None
@@ -200,7 +206,7 @@ def _regime_kernel(state: TrainState, config: TrainConfig, sigma: float):
         return state.kernel
     k = state.kernel
     if k is None or abs(sigma - k.sigma) > KERNEL_REBUILD_TOL * k.sigma:
-        state.kernel = build_kernel(config.topology(), sigma)
+        state.kernel = build_kernel(state.topology, sigma)
     return state.kernel
 
 
@@ -213,7 +219,9 @@ def _current_loss(state: TrainState, config: TrainConfig):
     return mc.smoothed_log_likelihood(probe, state.model, state.kernel)
 
 
-def _log_row(state: TrainState, config: TrainConfig, sigma: float, eps: float):
+def _log_row(state: TrainState, config: TrainConfig):
+    sigma = sigma_at(config.sigma_schedule, state.t) if config.sigma_schedule else 0.0
+    eps = epsilon_at(config.eps_schedule, state.t)
     loss = _current_loss(state, config)
     if not np.isfinite(loss):
         raise NumericsError(
@@ -255,12 +263,7 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     if state.probe is not None and (
         state.t % config.diag_every == 0 or state.t == config.total_iters
     ):
-        _log_row(
-            state,
-            config,
-            sigma_at(config.sigma_schedule, state.t) if config.sigma_schedule else 0.0,
-            epsilon_at(config.eps_schedule, state.t),
-        )
+        _log_row(state, config)
     return state
 
 
@@ -321,8 +324,8 @@ def _probe_subset(data: DataSet) -> DataSet:
 
 def make_state(config: TrainConfig, data: DataSet, resume: dict | None = None) -> TrainState:
     config.validate()
-    if config.seed is None:
-        raise UsageError("training requires an explicit rng seed")
+    if config.seed is None or config.seed < 0:
+        raise UsageError("training requires an explicit non-negative rng seed")
     rng = np.random.default_rng(config.seed)
     if resume is not None:
         rng.bit_generator.state = resume["rng_state"]
@@ -331,7 +334,7 @@ def make_state(config: TrainConfig, data: DataSet, resume: dict | None = None) -
     else:
         model = init_model(config, rng, data.dim)
         t = 0
-    state = TrainState(model=model, t=t, rng=rng)
+    state = TrainState(model=model, t=t, rng=rng, topology=config.topology())
     state.stats = DataStats.from_data(data)
     state.probe = _probe_subset(data)
     if resume is None and config.init_mode == "data_mean":
@@ -350,7 +353,7 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
         sigma0 = sigma_at(config.sigma_schedule, 0) if config.sigma_schedule else 0.0
         if config.loss_regime != "exact":
             _regime_kernel(state, config, sigma0)
-        _log_row(state, config, sigma0, epsilon_at(config.eps_schedule, 0))
+        _log_row(state, config)
     N = data.count
     perm = None
     for t in range(state.t, config.total_iters):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import four_cluster_data
 from somgmm import cli
@@ -119,6 +123,12 @@ image_cols = 2
         ("sigma_inf = 0.01\n", ""),
         ("sigma0 = 1.0\n", ""),
         ("tied = true", "tied = maybe"),
+        ("seed = 5", "seed = -1"),
+        ("init_dsq = 1.0", "init_dsq = 1.0\ndiag_every = 0"),
+        ("init_dsq = 1.0", "init_dsq = 1.0\ncentroid_scale = -1"),
+        ("eps_inf = 0.005", "eps_inf = 5e-324"),
+        ("sigma0 = 1.0", "sigma0 = inf"),
+        ("image_rows = 1\nimage_cols = 2", "image_rows = -1\nimage_cols = -2"),
     ])
     def test_malformed_config_exit_1(self, tmp_path, capsys, old, new):
         cfg = write_training_setup(tmp_path)
@@ -127,6 +137,26 @@ image_cols = 2
         err = capsys.readouterr().err
         assert "usage error" in err
         assert "Traceback" not in err
+
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        cfg = write_training_setup(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b"grid = 2d", b"grid = 2d\xff"))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_undecodable_data_exit_2(self, tmp_path, capsys):
+        cfg = write_training_setup(tmp_path)
+        data = tmp_path / "train.csv"
+        data.write_bytes(data.read_bytes() + b"1.0,\xff\n")
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_image_shape_checked_before_training(self, tmp_path, capsys):
+        cfg = write_training_setup(tmp_path, total_iters=50)
+        cfg.write_text(cfg.read_text().replace("image_rows = 1", "image_rows = 3"))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "image shape" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)
@@ -259,6 +289,40 @@ class TestInspectAndErrors:
         bad.write_bytes(b"not a checkpoint")
         assert cli.main(["inspect", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "score", "sample"])
+    def test_directory_input_exit_2(self, trained, tmp_path, capsys, command):
+        cfg = write_training_setup(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            f"data = {tmp_path / 'train.csv'}", f"data = {tmp_path}"))
+        model = str(trained / "out" / "model.ckpt")
+        argv = {
+            "train": ["train", "--config", str(cfg)],
+            "score": ["score", "--model", model, "--data", str(tmp_path)],
+            "sample": ["sample", "--model", str(tmp_path), "-n", "2", "--seed", "1"],
+        }[command]
+        assert cli.main(argv) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        (b"SOMGMMCKPT 1\n", b"SOMGMMCKPT x\n"),
+        (b'{"eps_schedule"', b'{"eps_schedule'),
+        (b'"seed":', b'"sead":'),
+        (b'"value_inf":', b'"value_imf":'),
+        (b'"topology": {"kind": "2d", "n_components": 4, "periodic": true}',
+         b'"topology": null'),
+        (b'"kind": "2d"', b'"kind": "3d"'),
+        (b'"n_components": 4', b'"n_components": 9'),
+        (b'"provenance": {', b'"provenance": 7, "unused": {'),
+    ])
+    def test_malformed_checkpoint_header_exit_2(self, trained, tmp_path, capsys,
+                                                old, new):
+        raw = (trained / "out" / "model.ckpt").read_bytes()
+        assert raw.count(old) >= 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(old, new, 1))
+        assert cli.main(["inspect", "--model", str(bad)]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
@@ -270,3 +334,59 @@ class TestInspectAndErrors:
         rc = cli.main(["inspect", "--model", "whatever.ckpt"])
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
+
+
+# Values that probe number parsing and the checks behind it.
+EDGE_VALUES = ["", "0", "-1", "9", "inf", "-inf", "nan", "1e308", "5e-324", "0.5T",
+               "2T", "-1T", "infT", "true", "1d", "3d", "epoch", "literal", "exact",
+               "data_mean", ".", "idx", "auto", "1_0", "\u0661"]
+
+FUZZ_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+class TestBoundaryFuzz:
+    """Malformed inputs exit with a documented code, never a traceback."""
+
+    @FUZZ_SETTINGS
+    @given(line=st.integers(0, 100), value=st.one_of(
+        st.sampled_from(EDGE_VALUES), st.text(max_size=12), st.binary(max_size=12)))
+    def test_config_line_values(self, tmp_path, line, value):
+        # total_iters stays 20 so no example trains for long; output_dir stays
+        # inside tmp_path because every run writes its artifacts there.
+        cfg = write_training_setup(tmp_path, total_iters=20)
+        lines = [ln for ln in cfg.read_bytes().splitlines()
+                 if b"=" in ln and not ln.startswith((b"total_iters", b"output_dir"))]
+        key = lines[line % len(lines)].split(b"=")[0]
+        lines[line % len(lines)] = key + b"= " + (
+            value if isinstance(value, bytes) else value.encode())
+        cfg.write_bytes(b"\n".join(lines + [b"total_iters = 20",
+                                           f"output_dir = {tmp_path / 'out'}".encode()]))
+        rc, err = run_cli(["train", "--config", str(cfg)])
+        # 3 is the documented numeric abort, e.g. eps0 = 1e308 diverges.
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @FUZZ_SETTINGS
+    @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_checkpoint_header_bytes(self, trained, tmp_path, edits):
+        raw = bytearray((trained / "out" / "model.ckpt").read_bytes())
+        header_len = raw.index(b"\n\x93NUMPY") + 1  # magic, JSON and BINARY lines
+        for pos, byte in edits:
+            raw[pos % header_len] = byte
+        path = tmp_path / "mutated.ckpt"
+        path.write_bytes(bytes(raw))
+        rc, err = run_cli(["inspect", "--model", str(path)])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err

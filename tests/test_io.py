@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from somgmm.io import (
 )
 from somgmm.model import DataSet, MixtureModel
 from somgmm.topology import AnnealingSchedule, GridTopology
-from somgmm.trainer import HistoryRow
+from somgmm.trainer import HistoryRow, TrainConfig
 
 
 def make_idx_bytes(images: np.ndarray) -> bytes:
@@ -138,6 +140,18 @@ class TestCheckpoint:
         raw = path.read_bytes().replace(b"SOMGMMCKPT 1", b"SOMGMMCKPT 9", 1)
         path.write_bytes(raw)
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    def test_header_contradicting_model_rejected(self, tmp_path, rng):
+        # The checksum covers only the arrays, so the loaded model is
+        # validated against what the header claims about it.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._ckpt(rng, tied=False))
+        raw = path.read_bytes()
+        flipped = raw.replace(b'"tied_spherical": false', b'"tied_spherical": true', 1)
+        assert flipped != raw
+        path.write_bytes(flipped)
+        with pytest.raises(DataError, match="tied_spherical"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
@@ -279,6 +293,36 @@ data_format = idx
         assert tc.sigma_schedule.value0 == 1.2
         assert tc.eps_schedule.value_inf == 0.009
         assert tc.init_dsq == 5.0
+
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        minimal = """
+loss_regime = exact
+components = 4
+total_iters = 100
+eps0 = 0.1
+eps_inf = 0.01
+t0 = 10
+t_inf = 90
+seed = 3
+data = points.csv
+"""
+        T = 24000
+        expected = {
+            example: TrainConfig(
+                "smoothed", 25, T,
+                eps_schedule=AnnealingSchedule(0.05, 0.009, 0.3 * T, 0.8 * T),
+                sigma_schedule=AnnealingSchedule(1.2, 0.01, 0.3 * T, 0.8 * T),
+                init_dsq=5.0, tied_spherical=True, seed=1,
+            ),
+            minimal: TrainConfig("exact", 4, 100, AnnealingSchedule(0.1, 0.01, 10, 90),
+                                 seed=3),
+        }
+        for text, want in expected.items():
+            path = tmp_path / "run.cfg"
+            path.write_text(text)
+            assert to_train_config(load_config(path)) == want
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

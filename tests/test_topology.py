@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,20 @@ from somgmm.topology import (
 )
 
 
+def image_distance_sq(kind, K, periodic):
+    """Oracle: squared distance to the nearest wrapped image of each cell,
+    enumerating the images one period away along each axis (none when open)."""
+    rows, cols = (1, K) if kind == "1d" else (math.isqrt(K),) * 2
+    shifts = (-1, 0, 1) if periodic else (0,)
+    out = np.empty((K, K))
+    for j in range(K):
+        for k in range(K):
+            dr, dc = k // cols - j // cols, k % cols - j % cols
+            out[j, k] = min((dr + a * rows) ** 2 + (dc + b * cols) ** 2
+                            for a in shifts for b in shifts)
+    return out
+
+
 class TestGridDistance:
     def test_self_distance_zero(self):
         top = GridTopology("2d", 9)
@@ -26,16 +41,24 @@ class TestGridDistance:
         assert grid_distance_sq(top, 0, 3) == 2.0
 
     def test_periodic_wrap(self):
-        # Oracle: enumerate all wrapped images of cell (4,0) on a 5x5 torus.
-        top = GridTopology("2d", 25, periodic=True)
-        flat = GridTopology("2d", 25, periodic=False)
-        j, k = 0, 20  # cells (0,0) and (4,0)
-        images = [
-            (4 + 5 * a, 0 + 5 * b) for a in (-1, 0, 1) for b in (-1, 0, 1)
-        ]
-        oracle = min((r - 0) ** 2 + (c - 0) ** 2 for r, c in images)
-        assert grid_distance_sq(top, j, k) == oracle == 1.0
-        assert grid_distance_sq(flat, j, k) == 16.0
+        # Every pair (j, k) on 1d/2d x periodic/open grids.
+        grids = [("1d", 1), ("1d", 5), ("1d", 9), ("1d", 25),
+                 ("2d", 1), ("2d", 9), ("2d", 25)]
+        for (kind, K), periodic in itertools.product(grids, (True, False)):
+            top = GridTopology(kind, K, periodic=periodic)
+            oracle = image_distance_sq(kind, K, periodic)
+            for j, k in itertools.product(range(K), repeat=2):
+                assert grid_distance_sq(top, j, k) == oracle[j, k]
+            assert np.array_equal(top.distance_sq, oracle)
+        # cells (0,0) and (4,0) of a 5x5 grid: one step across the torus seam
+        assert grid_distance_sq(GridTopology("2d", 25), 0, 20) == 1.0
+        assert grid_distance_sq(GridTopology("2d", 25, periodic=False), 0, 20) == 16.0
+
+    def test_distance_matrix_cached_read_only(self):
+        top = GridTopology("2d", 9)
+        assert top.distance_sq is top.distance_sq
+        with pytest.raises(ValueError):
+            top.distance_sq[0, 1] = 0.0
 
     def test_index_out_of_range(self):
         with pytest.raises(UsageError):
@@ -62,6 +85,12 @@ class TestBuildKernel:
         raw = np.array([1.0, math.exp(-0.5), math.exp(-2.0)])
         assert np.allclose(kernel.g[0], raw / raw.sum(), atol=1e-4)
         assert np.allclose(kernel.g[0], [0.574126, 0.348210, 0.077664], atol=1e-4)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.2, 7.0])
+    def test_k25_kernel_bitwise_against_oracle(self, sigma):
+        g = np.exp(-image_distance_sq("2d", 25, True) / (2.0 * sigma * sigma))
+        g /= g.sum(axis=1, keepdims=True)
+        assert np.array_equal(build_kernel(GridTopology("2d", 25), sigma).g, g)
 
     def test_non_positive_sigma(self):
         with pytest.raises(UsageError):

@@ -302,6 +302,32 @@ class TestTrain:
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.precision_roots, m2.precision_roots)
 
+    def test_grid_built_once_per_run(self, monkeypatch):
+        # Annealing rebuilds the kernel on about every second step; every
+        # rebuild reuses the run's one topology and its distance matrix.
+        import somgmm.trainer as trainer_mod
+
+        counts = {"topologies": 0, "kernels": 0}
+        post_init = GridTopology.__post_init__
+
+        def counting_post_init(top):
+            counts["topologies"] += 1
+            post_init(top)
+
+        def counting_build_kernel(topology, sigma):
+            counts["kernels"] += 1
+            return build_kernel(topology, sigma)
+
+        monkeypatch.setattr(GridTopology, "__post_init__", counting_post_init)
+        monkeypatch.setattr(trainer_mod, "build_kernel", counting_build_kernel)
+        cfg = annealed_benchmark_config(T=400)
+        cfg.seed = 1
+        state = trainer_mod.run(cfg, four_cluster_data(1))
+        assert counts["kernels"] > 50
+        assert counts["topologies"] <= 3
+        assert state.kernel.g.base is None  # the kernel owns its values
+        assert not state.topology.distance_sq.flags.writeable
+
     def test_requires_seed(self, rng):
         cfg = basic_config()
         cfg.seed = None
