@@ -16,7 +16,9 @@ from .model import DataSet, MixtureModel
 from .topology import AnnealingSchedule, GridTopology
 
 CHECKPOINT_MAGIC = "SOMGMMCKPT"
-CHECKPOINT_VERSION = 1
+# Version 2's SHA-256 covers the JSON header line and the payload; version 1's
+# covered the payload alone and is still read.
+CHECKPOINT_VERSION = 2
 
 IDX_UBYTE = 0x08
 
@@ -106,7 +108,7 @@ def load_csv(path) -> DataSet:
 def csv_lines(samples: np.ndarray):
     """Yield one headerless CSV line per row, floats in round-trip repr."""
     for row in samples:
-        yield ",".join(repr(float(v)) for v in row) + "\n"
+        yield ",".join(map(repr, row.tolist())) + "\n"
 
 
 def save_csv(data: DataSet, path):
@@ -156,10 +158,11 @@ def save_checkpoint(path, ckpt: Checkpoint):
     for arr in (ckpt.model.weights, ckpt.model.centroids, ckpt.model.precision_roots):
         np.save(buf, arr, allow_pickle=False)
     payload = buf.getvalue()
-    digest = hashlib.sha256(payload).hexdigest()
+    header = json.dumps(meta, sort_keys=True).encode() + b"\n"
+    digest = hashlib.sha256(header + payload).hexdigest()
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n".encode())
-        fh.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
+        fh.write(header)
         fh.write(f"BINARY {len(payload)} {digest}\n".encode())
         fh.write(payload)
 
@@ -172,16 +175,19 @@ def load_checkpoint(path) -> Checkpoint:
             magic = fh.readline().decode(errors="replace").split()
             if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
                 raise DataError(f"{path}: not a checkpoint file")
-            if int(magic[1]) != CHECKPOINT_VERSION:
+            version = int(magic[1])
+            if version not in (1, CHECKPOINT_VERSION):
                 raise DataError(f"{path}: unsupported checkpoint version {magic[1]}")
-            meta = json.loads(fh.readline().decode())
+            header = fh.readline()
             binline = fh.readline().decode().split()
             if len(binline) != 3 or binline[0] != "BINARY":
                 raise DataError(f"{path}: malformed binary section header")
             nbytes, digest = int(binline[1]), binline[2]
             payload = fh.read()
-        if len(payload) != nbytes or hashlib.sha256(payload).hexdigest() != digest:
+        covered = payload if version == 1 else header + payload
+        if len(payload) != nbytes or hashlib.sha256(covered).hexdigest() != digest:
             raise DataError(f"{path}: checksum mismatch (corrupt or truncated)")
+        meta = json.loads(header.decode())
         buf = _io.BytesIO(payload)
         weights = np.load(buf, allow_pickle=False)
         centroids = np.load(buf, allow_pickle=False)

@@ -119,6 +119,12 @@ class AnnealingSchedule:
             raise UsageError("schedule requires finite t_inf > t0 >= 0")
         if self.convention not in ("continuous", "literal"):
             raise UsageError(f"unknown tau convention {self.convention!r}")
+        # The literal tau takes the log of this ratio, which a tiny value gap
+        # over a huge span underflows to 0.
+        if (self.convention == "literal" and self.value0 != self.value_inf
+                and (self.value0 - self.value_inf) / (self.t_inf - self.t0) == 0):
+            raise UsageError("literal tau convention: (value0 - value_inf) / "
+                             "(t_inf - t0) underflows to 0")
 
     @property
     def tau(self):

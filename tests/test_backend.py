@@ -110,3 +110,68 @@ def test_backend_is_python_whatever_the_environment():
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "python"
+
+
+def fresh(*args):
+    """log_joints with the normaliser memo cleared first."""
+    backend._terms = None
+    return backend.log_joints(*args)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestNormaliserMemo:
+    def test_one_ulp_nudge_in_place_misses(self, rng):
+        w, mu, d, x = _inputs(rng)
+        for rows in (x[:1], x):
+            backend.log_joints(w, mu, d, rows)
+            memo = backend._terms
+            d[2, 3] = np.nextafter(d[2, 3], np.inf)
+            got = backend.log_joints(w, mu, d, rows)
+            assert backend._terms is not memo  # a miss
+            assert_bitwise(got, fresh(w, mu, d, rows))
+
+    def test_weights_changed_in_place_miss(self, rng):
+        w, mu, d, x = _inputs(rng)
+        before = backend.log_joints(w, mu, d, x[:1])
+        w[[0, 1]] = w[[1, 0]]
+        got = backend.log_joints(w, mu, d, x[:1])
+        assert not np.array_equal(got, before)
+        assert_bitwise(got, fresh(w, mu, d, x[:1]))
+
+    def test_alternating_models(self, rng):
+        a = _inputs(rng, K=7, D=5)
+        b = _inputs(rng, K=3, D=9)
+        want = {id(a): fresh(*a), id(b): fresh(*b)}
+        for args in (a, b, a, a, b, b, a):
+            assert_bitwise(backend.log_joints(*args), want[id(args)])
+
+    def test_zero_weight_hit_keeps_minus_inf(self, rng):
+        w, mu, d, x = _inputs(rng, K=3)
+        w = np.array([0.0, 0.4, 0.6])
+        want = fresh(w, mu, d, x[:1])
+        memo = backend._terms
+        got = backend.log_joints(w, mu, d, x[:1])
+        assert backend._terms is memo  # a hit
+        assert got[0, 0] == -np.inf
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("where", ["weights", "precision_roots"])
+    def test_nan_input_always_misses(self, rng, where):
+        w, mu, d, x = _inputs(rng)
+        (w if where == "weights" else d)[1] = np.nan
+        backend.log_joints(w, mu, d, x[:1])
+        memo = backend._terms
+        got = backend.log_joints(w, mu, d, x[:1])
+        assert backend._terms is not memo
+        assert_bitwise(got, fresh(w, mu, d, x[:1]))
+
+    def test_cached_arrays_are_read_only(self, rng):
+        w, _, d, _ = _inputs(rng)
+        base = backend._log_normaliser(w, d)
+        assert backend._terms[2] is base
+        for arr in backend._terms:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

@@ -129,6 +129,8 @@ image_cols = 2
         ("eps_inf = 0.005", "eps_inf = 5e-324"),
         ("sigma0 = 1.0", "sigma0 = inf"),
         ("image_rows = 1\nimage_cols = 2", "image_rows = -1\nimage_cols = -2"),
+        ("t_inf = 0.7T", "t_inf = 1e308\neps0 = 1.0000000000000002\neps_inf = 1\n"
+                         "tau_convention = literal"),
     ])
     def test_malformed_config_exit_1(self, tmp_path, capsys, old, new):
         cfg = write_training_setup(tmp_path)
@@ -304,7 +306,7 @@ class TestInspectAndErrors:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new", [
-        (b"SOMGMMCKPT 1\n", b"SOMGMMCKPT x\n"),
+        (b"SOMGMMCKPT 2\n", b"SOMGMMCKPT x\n"),
         (b'{"eps_schedule"', b'{"eps_schedule'),
         (b'"seed":', b'"sead":'),
         (b'"value_inf":', b'"value_imf":'),
@@ -313,6 +315,7 @@ class TestInspectAndErrors:
         (b'"kind": "2d"', b'"kind": "3d"'),
         (b'"n_components": 4', b'"n_components": 9'),
         (b'"provenance": {', b'"provenance": 7, "unused": {'),
+        (b'"tied_spherical": true', b'"tied_spherical": false'),
     ])
     def test_malformed_checkpoint_header_exit_2(self, trained, tmp_path, capsys,
                                                 old, new):

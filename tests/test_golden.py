@@ -2,6 +2,8 @@
 
 Each digest covers the final model arrays and every history row, so a change
 meant to preserve behaviour must leave all of them unchanged, bit for bit.
+One more digest covers the per-row output of ``somgmm cluster`` and
+``somgmm score --reference`` on a trained model.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
 round differently, and then the digests have to be recorded again from an
 unchanged commit on that build.
@@ -13,6 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import four_cluster_data
+from somgmm import cli
+from somgmm.io import Checkpoint, save_checkpoint, save_csv
+from somgmm.model import DataSet
 from somgmm.sombridge import SomView, verify_equivalence
 from somgmm.topology import AnnealingSchedule, GridTopology, build_kernel
 from somgmm.trainer import TrainConfig, train
@@ -20,9 +25,9 @@ from somgmm.trainer import TrainConfig, train
 T = 300
 
 
-def _config(regime, batch_size, tied=False, trained=False):
+def _config(regime, batch_size, tied=False, trained=False, components=4):
     return TrainConfig(
-        regime, 4, T,
+        regime, components, T,
         eps_schedule=AnnealingSchedule(0.1, 0.005, 0.3 * T, 0.8 * T),
         sigma_schedule=(AnnealingSchedule(1.0, 0.05, 0.2 * T, 0.6 * T)
                         if regime == "smoothed" else None),
@@ -50,6 +55,8 @@ GOLDEN = {
         "c35fda4c768a9bdd529aa3c73c486c759d9bfc973123ebca5ed63ab99d431046",
     "verify_equivalence":
         "615ab2bcb9da259def071f2d7a9e2a4cfa8060f72680953bb6a345a6305dba4e",
+    "inference":
+        "f8e5210f51fc0172e0918f1a2f759dd7763e05e1e120cf7e56020ebfa30cd3fa",
 }
 
 
@@ -84,3 +91,22 @@ def test_verify_equivalence_digest():
     digest = _digest([report.lhs, report.rhs,
                       [report.constant, report.max_abs_err]])
     assert digest == GOLDEN["verify_equivalence"]
+
+
+def test_inference_digest(tmp_path, capsys):
+    config = _config("smoothed", 1, tied=True, components=9)
+    model, _ = train(config, four_cluster_data(5))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, Checkpoint(model, "smoothed", config.topology(),
+                                     config.eps_schedule, config.sigma_schedule,
+                                     T, config.seed))
+    data, reference = str(tmp_path / "rows.csv"), str(tmp_path / "reference.csv")
+    # Wide enough that some rows fall outside every cluster.
+    save_csv(DataSet(np.random.default_rng(11).normal(scale=6.0, size=(300, 2))), data)
+    save_csv(four_cluster_data(6), reference)
+    h = hashlib.sha256()
+    for argv in (["cluster", "--model", ckpt, "--data", data],
+                 ["score", "--model", ckpt, "--data", data, "--reference", reference]):
+        assert cli.main(argv) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == GOLDEN["inference"]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,9 @@ from conftest import random_model
 from somgmm.cli import to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
+    CHECKPOINT_VERSION,
     Checkpoint,
+    csv_lines,
     emit_centroid_grid,
     emit_schedule_trace,
     load_checkpoint,
@@ -74,6 +78,17 @@ class TestIdx:
             load_idx(path)
 
 
+def as_version_1(raw: bytes) -> bytes:
+    """A checkpoint's bytes rewritten in the version-1 layout, whose checksum
+    covers only the array payload."""
+    _, header, _, payload = raw.split(b"\n", 3)
+    meta = json.loads(header)
+    meta["version"] = 1
+    return (b"SOMGMMCKPT 1\n" + json.dumps(meta, sort_keys=True).encode() + b"\n"
+            + f"BINARY {len(payload)} {hashlib.sha256(payload).hexdigest()}\n".encode()
+            + payload)
+
+
 class TestCsv:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -95,6 +110,14 @@ class TestCsv:
         save_csv(data, path)
         back = load_csv(path)
         assert np.all(np.abs(back.samples - data.samples) < 1e-9)
+
+    def test_lines_match_per_value_repr(self):
+        values = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e-7, 1.0]
+        rng = np.random.default_rng(3)
+        samples = np.concatenate([np.array(values * 4).reshape(4, 8),
+                                  rng.normal(size=(4, 8))])
+        want = [",".join(repr(float(v)) for v in row) + "\n" for row in samples]
+        assert list(csv_lines(samples)) == want
 
 
 class TestCheckpoint:
@@ -137,22 +160,36 @@ class TestCheckpoint:
     def test_version_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._ckpt(rng))
-        raw = path.read_bytes().replace(b"SOMGMMCKPT 1", b"SOMGMMCKPT 9", 1)
+        raw = path.read_bytes()
+        magic = f"SOMGMMCKPT {CHECKPOINT_VERSION}".encode()
+        assert raw.startswith(magic)
+        raw = raw.replace(magic, b"SOMGMMCKPT 9", 1)
         path.write_bytes(raw)
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
     def test_header_contradicting_model_rejected(self, tmp_path, rng):
-        # The checksum covers only the arrays, so the loaded model is
+        # A version-1 checksum covers only the arrays, so the loaded model is
         # validated against what the header claims about it.
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._ckpt(rng, tied=False))
         raw = path.read_bytes()
         flipped = raw.replace(b'"tied_spherical": false', b'"tied_spherical": true', 1)
         assert flipped != raw
-        path.write_bytes(flipped)
+        path.write_bytes(as_version_1(flipped))
         with pytest.raises(DataError, match="tied_spherical"):
             load_checkpoint(path)
+
+    def test_version_1_still_loads(self, tmp_path, rng):
+        ckpt = self._ckpt(rng, tied=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        path.write_bytes(as_version_1(path.read_bytes()))
+        back = load_checkpoint(path)
+        for name in ("weights", "centroids", "precision_roots"):
+            assert np.array_equal(getattr(back.model, name), getattr(ckpt.model, name))
+        assert back.model.tied_spherical
+        assert back.topology == ckpt.topology and back.rng_state == ckpt.rng_state
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"
