@@ -98,5 +98,6 @@ def log_joints(weights, centroids, precision_roots, samples):
 
 def _single_row(base, centroids, psq, x):
     """Log-joints of one row by direct differences (the shift r = x)."""
-    diff = x - centroids
-    return base - 0.5 * np.einsum("ki,ki->k", psq, diff * diff)
+    sq = x - centroids
+    sq *= sq
+    return base - 0.5 * np.einsum("ki,ki->k", psq, sq)

@@ -26,7 +26,7 @@ def batch_scores(data: DataSet, model: MixtureModel) -> np.ndarray:
 def assign_cluster(x, model: MixtureModel) -> int:
     """Index of the component with the largest joint log-density; lowest
     index on ties."""
-    x = np.asarray(x, dtype=np.float64)
+    x = mc.as_vector(x, model)
     lj = mc.log_joint_matrix(DataSet(x[None, :]), model)
     return int(np.argmax(lj[0]))
 

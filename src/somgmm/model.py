@@ -71,6 +71,10 @@ class MixtureModel:
             raise UsageError("weights must have length K")
         if self.precision_roots.shape != (K, D):
             raise UsageError("precision_roots must match centroids' shape")
+        # NaN fails none of the comparisons below, so test finiteness first.
+        for name in ("weights", "centroids", "precision_roots"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise UsageError(f"{name} must be finite")
         if np.any(self.weights < 0):
             raise UsageError("weights must be non-negative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -105,8 +109,7 @@ class DataSet:
         self.samples = _as_matrix(self.samples, "samples")
         if self.samples.shape[0] < 1 or self.samples.shape[1] < 1:
             raise DataError("dataset must contain at least one sample and one dimension")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError("dataset contains non-finite entries")
+        _require_finite(self.samples)
 
     @property
     def count(self):
@@ -115,6 +118,21 @@ class DataSet:
     @property
     def dim(self):
         return self.samples.shape[1]
+
+
+def _require_finite(samples):
+    if not np.all(np.isfinite(samples)):
+        raise DataError("dataset contains non-finite entries")
+
+
+def _trusted_dataset(samples, meta):
+    """A DataSet built without the __post_init__ pass, for rows of an
+    already checked sample matrix: ``samples`` must be a non-empty, finite,
+    C-contiguous float64 matrix."""
+    data = object.__new__(DataSet)
+    data.samples = samples
+    data.meta = meta
+    return data
 
 
 @dataclass

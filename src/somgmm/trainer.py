@@ -180,16 +180,43 @@ def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, x: np.ndarray):
     """In-place pull of every centroid toward x, scaled per component."""
-    centroids += coeff[:, None] * (x - centroids)
+    # Three statements so that only one K x D temporary is allocated; bitwise
+    # centroids += coeff[:, None] * (x - centroids).
+    step = x - centroids
+    step *= coeff[:, None]
+    centroids += step
+
+
+# (v, (shape, strides, dtype)) of the last tied precision array that was
+# uniform at v and that clip, mean and assign left at v.  The mean of a
+# uniform array depends only on v and this layout, so any array of the layout
+# that is uniform at v is a fixed point of the re-tie.  Replaced as one tuple.
+_settled = None
 
 
 def enforce_constraints(model: MixtureModel) -> MixtureModel:
     """Renormalize weights onto the (floored) simplex and clamp precision
-    roots; tied models re-tie the shared d and keep weights at exactly 1/K."""
-    np.clip(model.precision_roots, D_MIN, D_MAX, out=model.precision_roots)
+    roots; tied models re-tie the shared d and keep weights at exactly 1/K.
+
+    A tied array that matches the settled record is left untouched: clip,
+    mean and assign would write back the values it holds.
+    """
+    global _settled
+    d = model.precision_roots
     if model.tied_spherical:
-        model.precision_roots[...] = model.precision_roots.mean()
+        layout = (d.shape, d.strides, d.dtype)
+        settled = _settled
+        if settled is not None and settled[1] == layout and (d == settled[0]).all():
+            model.weights[...] = 1.0 / model.n_components
+            return model
+        v = d.flat[0]
+        uniform = (d == v).all()
+    np.clip(d, D_MIN, D_MAX, out=d)
+    if model.tied_spherical:
+        d[...] = d.mean()
         model.weights[...] = 1.0 / model.n_components
+        if uniform and d.flat[0] == v:
+            _settled = (v, layout)
         return model
     w = model.weights
     np.maximum(w, WEIGHT_FLOOR, out=w)
@@ -348,6 +375,7 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
     Deterministic under a fixed seed; a run resumed from a checkpoint (model,
     iteration, rng state) continues exactly where the original left off.
     """
+    mc._require_finite(data.samples)
     state = make_state(config, data, resume)
     if state.t == 0:
         sigma0 = sigma_at(config.sigma_schedule, 0) if config.sigma_schedule else 0.0
@@ -364,7 +392,7 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
             idx = perm.take(range(start, start + config.batch_size), mode="wrap")
         else:
             idx = state.rng.integers(0, N, size=config.batch_size)
-        batch = DataSet(data.samples[idx], {"batch": True})
+        batch = mc._trusted_dataset(data.samples[idx], {"batch": True})
         sgd_step(state, batch, config)
     return state
 

@@ -308,6 +308,54 @@ def test_10_io_round_trips_and_resume(tmp_path):
                 "an interrupted run resumes to identical parameters", ok)
 
 
+def _mixture_sample(seed, K, D, n=2000, noise_sd=0.7):
+    """K centroids drawn N(0, 1) per dimension and n noisy draws around them."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((K, D))
+    labels = rng.integers(0, K, n)
+    return centres, DataSet(centres[labels] + noise_sd * rng.standard_normal((n, D)))
+
+
+def _bound_gap(data, model):
+    return full_log_likelihood(data, model) - max_component_log_likelihood(data, model)
+
+
+def test_11_max_component_bound_tightens_with_dimension():
+    """The paper's SOM energy approximates the GMM log-likelihood, and the
+    approximation is particularly good in high dimensions: the gap between
+    the exact log-likelihood and the max-component bound lies in [0, log K]
+    and does not grow with D."""
+    K, dims, T = 9, (2, 8, 32, 128, 784), 1000
+    ok = True
+    gaps = {}
+    for seed in (0, 1, 2):
+        row = []
+        for D in dims:
+            centres, data = _mixture_sample(seed, K, D)
+            model = MixtureModel(np.full(K, 1.0 / K), centres,
+                                 np.full((K, D), 1.0 / 0.7), tied_spherical=True)
+            row.append(_bound_gap(data, model))
+        gaps[seed] = row
+        ok &= all(0.0 <= g <= np.log(K) for g in row)
+        ok &= all(hi <= lo for lo, hi in zip(row, row[1:]))
+        # The same claim on maps trained by annealed smoothing.
+        trained = []
+        for D in (dims[0], dims[-1]):
+            _, data = _mixture_sample(seed, K, D)
+            cfg = TrainConfig(
+                "smoothed", K, T,
+                eps_schedule=AnnealingSchedule(0.1, 0.005, 0.3 * T, 0.8 * T),
+                sigma_schedule=AnnealingSchedule(1.0, 0.01, 0.2 * T, 0.6 * T),
+                init_dsq=1.0 / 0.49, tied_spherical=True, seed=seed, diag_every=T,
+            )
+            trained.append(_bound_gap(data, run(cfg, data).model))
+        ok &= 0.0 <= trained[1] <= trained[0] <= np.log(K)
+    worst = {D: max(gaps[s][i] for s in gaps) for i, D in enumerate(dims)}
+    _report(11, "exact log-likelihood minus max-component bound lies in "
+                f"[0, log K] and does not grow with D (worst gap per D: "
+                + ", ".join(f"{D}: {g:.2g}" for D, g in worst.items()) + ")", ok)
+
+
 def test_cli_end_to_end_on_image_subset(tmp_path):
     """Full-scale configuration executes on a 500-image IDX subset and emits
     the visualization artifacts without a numeric abort."""

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import four_cluster_data
 from somgmm import cli
-from somgmm.exceptions import NumericsError
-from somgmm.io import load_checkpoint, save_csv
-from somgmm.model import DataSet
+from somgmm.exceptions import NumericsError, UsageError
+from somgmm.io import Checkpoint, load_checkpoint, save_checkpoint, save_csv
+from somgmm.model import DataSet, MixtureModel
+from somgmm.topology import AnnealingSchedule, GridTopology
 from test_io import make_idx_bytes
 
 
@@ -325,6 +326,31 @@ class TestInspectAndErrors:
         bad.write_bytes(raw.replace(old, new, 1))
         assert cli.main(["inspect", "--model", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("array", ["weights", "centroids", "precision_roots"])
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys, monkeypatch,
+                                            array):
+        # Untied, so no tied-uniformity check can catch the NaN instead.
+        model = MixtureModel([0.1, 0.2, 0.3, 0.4], np.arange(8.0).reshape(4, 2),
+                             np.ones((4, 2)))
+        getattr(model, array)[1] = np.nan
+        ckpt = Checkpoint(model, "max_component", GridTopology("2d", 4),
+                          AnnealingSchedule(0.1, 0.01, 0, 10), None, 10, 1)
+        bad = tmp_path / "nan.ckpt"
+        with pytest.raises(UsageError, match=f"{array} must be finite"):
+            save_checkpoint(str(bad), ckpt)
+        # A file written without the check must not load either.
+        monkeypatch.setattr(MixtureModel, "validate", lambda self: self)
+        save_checkpoint(str(bad), ckpt)
+        monkeypatch.undo()
+        rows = tmp_path / "rows.csv"
+        save_csv(four_cluster_data(3), rows)
+        for argv in (["inspect", "--model", str(bad)],
+                     ["cluster", "--model", str(bad), "--data", str(rows)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert "data error" in captured.err and "must be finite" in captured.err
+            assert captured.out == ""
 
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -2,6 +2,8 @@
 
 Each digest covers the final model arrays and every history row, so a change
 meant to preserve behaviour must leave all of them unchanged, bit for bit.
+A K=25, D=64 tied run covers the settling of the shared precision root and
+a neighbourhood annealed until its off-diagonal couplings are exact zeros.
 One more digest covers the per-row output of ``somgmm cluster`` and
 ``somgmm score --reference`` on a trained model.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
@@ -10,6 +12,7 @@ unchanged commit on that build.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from somgmm.io import Checkpoint, save_checkpoint, save_csv
 from somgmm.model import DataSet
 from somgmm.sombridge import SomView, verify_equivalence
 from somgmm.topology import AnnealingSchedule, GridTopology, build_kernel
-from somgmm.trainer import TrainConfig, train
+from somgmm.trainer import TrainConfig, run, train
 
 T = 300
 
@@ -57,6 +60,8 @@ GOLDEN = {
         "615ab2bcb9da259def071f2d7a9e2a4cfa8060f72680953bb6a345a6305dba4e",
     "inference":
         "f8e5210f51fc0172e0918f1a2f759dd7763e05e1e120cf7e56020ebfa30cd3fa",
+    "smoothed_tied_k25_d64":
+        "0e4410a7b36523f30271a860ec45908c796d249ff768f9268f56f4f1edaf5074",
 }
 
 
@@ -81,6 +86,28 @@ def test_trajectory_digest(name):
     digest = _digest([model.weights, model.centroids, model.precision_roots],
                      history)
     assert digest == GOLDEN[name]
+
+
+def test_tied_k25_high_dim_digest():
+    # sqrt(3) tiled over 25 x 64 averages to a value one ulp away, twice,
+    # before the average is a fixed point; sigma = 0.01 leaves only the
+    # diagonal of the kernel nonzero.
+    config = TrainConfig(
+        "smoothed", 25, T,
+        eps_schedule=AnnealingSchedule(0.1, 0.005, 0.3 * T, 0.8 * T),
+        sigma_schedule=AnnealingSchedule(2.0, 0.01, 0.2 * T, 0.6 * T),
+        init_dsq=3.0, tied_spherical=True, seed=29, diag_every=25,
+    )
+    rng = np.random.default_rng(23)
+    centres = rng.normal(scale=3.0, size=(6, 64))
+    data = DataSet(centres[rng.integers(0, 6, 600)] + rng.standard_normal((600, 64)))
+    state = run(config, data)
+    model = state.model
+    assert model.tied_precision_root != math.sqrt(3.0)
+    assert np.array_equal(state.kernel.g, np.eye(25))
+    digest = _digest([model.weights, model.centroids, model.precision_roots],
+                     state.history)
+    assert digest == GOLDEN["smoothed_tied_k25_d64"]
 
 
 def test_verify_equivalence_digest():

@@ -104,6 +104,11 @@ class TestAssignCluster:
         m = MixtureModel([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
         assert assign_cluster(np.array([0.0]), m) == 0
 
+    @pytest.mark.parametrize("x", [3.0, [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_not_a_model_vector(self, x):
+        with pytest.raises(UsageError, match="dimension 2"):
+            assign_cluster(x, separated_model())
+
     def test_invariant_under_monotone_shift(self, rng):
         # Scaling all weights equally shifts every log-score by a constant.
         m = random_model(rng, 4, 2)

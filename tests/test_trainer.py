@@ -10,8 +10,11 @@ from conftest import (
     random_data,
     random_model,
 )
-from somgmm.exceptions import NumericsError, UsageError
+import somgmm.trainer as trainer_mod
+from somgmm.exceptions import DataError, NumericsError, UsageError
 from somgmm.model import (
+    D_MAX,
+    D_MIN,
     DataSet,
     MixtureModel,
     component_log_density,
@@ -28,7 +31,9 @@ from somgmm.trainer import (
     grad_smoothed,
     init_model,
     make_state,
+    neighborhood_pull,
     project_weight_gradient,
+    run,
     sgd_step,
     train,
 )
@@ -199,6 +204,154 @@ class TestEnforceConstraints:
         assert np.all(m.weights == 0.5)
 
 
+def retie_as_written_before_the_record(model):
+    """The tied branch of enforce_constraints without the settled record."""
+    np.clip(model.precision_roots, D_MIN, D_MAX, out=model.precision_roots)
+    model.precision_roots[...] = model.precision_roots.mean()
+    model.weights[...] = 1.0 / model.n_components
+    return model
+
+
+def tied_model(d, K=25, D=64):
+    return MixtureModel(np.full(K, 1.0 / K), np.zeros((K, D)),
+                        np.full((K, D), d), tied_spherical=True)
+
+
+def assert_same_bits(a, b):
+    for name in ("weights", "centroids", "precision_roots"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestSettledRetie:
+    """enforce_constraints skips the re-tie of an array matching the settled
+    record; every call must still equal the full clip, mean and assign."""
+
+    @pytest.fixture(autouse=True)
+    def no_record(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "_settled", None)
+
+    def check(self, model):
+        """One call, compared bitwise with the full re-tie on a copy."""
+        want = retie_as_written_before_the_record(model.copy())
+        enforce_constraints(model)
+        assert_same_bits(model, want)
+
+    def settle(self, model, calls=4):
+        for _ in range(calls):
+            model.weights[0] = 0.5  # weights are reset on every call
+            self.check(model)
+        assert trainer_mod._settled is not None
+
+    def test_non_uniform(self, rng):
+        m = tied_model(1.0)
+        m.precision_roots[...] = rng.uniform(0.5, 2.0, m.precision_roots.shape)
+        for _ in range(4):
+            self.check(m)
+
+    def test_non_uniform_with_mean_at_first_entry(self):
+        # d averages to d[0, 0] = v, but 5 x 5 copies of v do not average to
+        # v: a non-uniform array must leave no record.
+        v = float.fromhex("0x1.5d58f88c4dcafp+1")
+        m = tied_model(v, K=5, D=5)
+        m.precision_roots[2, 1] += 0.29258146994545403
+        m.precision_roots[3, 4] -= 0.29258146994545403
+        self.check(m)
+        assert m.precision_roots[0, 0] == v
+        fresh = tied_model(v, K=5, D=5)
+        self.check(fresh)
+        assert fresh.precision_roots[0, 0] != v
+
+    def test_uniform_ulp_drift_then_settles(self):
+        # sqrt(3) over 25 x 64 averages one ulp up, twice, then stays.
+        m = tied_model(math.sqrt(3.0))
+        seen = [m.precision_roots[0, 0]]
+        for _ in range(4):
+            self.check(m)
+            seen.append(m.precision_roots[0, 0])
+            # A value that moved leaves no record: it moves again elsewhere.
+            self.check(tied_model(seen[0]))
+        assert seen[0] < seen[1] < seen[2] == seen[3] == seen[4]
+        assert trainer_mod._settled[0] == seen[2]
+        # The settled array is not written any more.
+        m.precision_roots.setflags(write=False)
+        self.check(m)
+
+    @pytest.mark.parametrize("v", [0.5 * D_MIN, 2.0 * D_MAX])
+    def test_uniform_out_of_bounds(self, v):
+        m = tied_model(1.0)
+        self.settle(m)
+        m.precision_roots[...] = v
+        for _ in range(3):
+            self.check(m)
+        assert D_MIN <= m.precision_roots[0, 0] <= D_MAX
+
+    def test_nan(self):
+        m = tied_model(1.0)
+        self.settle(m)
+        m.precision_roots[3, 5] = np.nan
+        self.check(m)
+        assert np.all(np.isnan(m.precision_roots))
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_one_element_written_in_place(self, direction):
+        m = tied_model(math.sqrt(3.0))
+        self.settle(m)
+        m.precision_roots[7, 11] = np.nextafter(m.precision_roots[7, 11], direction)
+        for _ in range(3):
+            self.check(m)
+
+    def test_two_shapes_alternating(self):
+        # b holds a's settled value, which 5 x 5 entries do not average to.
+        a = tied_model(math.sqrt(3.0))
+        self.settle(a)
+        v = a.precision_roots[0, 0]
+        b = tied_model(v, K=5, D=5)
+        for m in (b, a, b, a, a, b, b, a):
+            self.check(m)
+        assert b.precision_roots[0, 0] != v
+        c = tied_model(math.sqrt(7.0), K=4, D=2)
+        for m in (a, c, b, c, a, a, c, b):
+            self.check(m)
+
+    def test_strided_view(self):
+        # Same shape and value as a settled array, different layout.
+        a = tied_model(math.sqrt(3.0))
+        self.settle(a)
+        b, want = tied_model(1.0), tied_model(1.0)
+        b.precision_roots = np.full((25, 128), a.precision_roots[0, 0])[:, ::2]
+        want.precision_roots = b.precision_roots.base.copy()[:, ::2]
+        enforce_constraints(b)
+        retie_as_written_before_the_record(want)
+        assert_same_bits(b, want)
+
+
+class TestNeighborhoodPull:
+    @pytest.mark.parametrize("x0", [0.0, 2.5, -2.5, -0.0, 5e-324, -5e-324])
+    def test_negative_zero_centroids(self, x0):
+        coeff = np.array([0.0, 5e-324, 1e-310, 0.3, 1.0, -0.0])
+        c = np.full((6, 3), -0.0)
+        c[:, 1] = [0.0, -1.0, 1.0, -0.0, 2.0, 1e-300]
+        x = np.array([x0, x0, -0.0])
+        want = c.copy()
+        want += coeff[:, None] * (x - want)
+        neighborhood_pull(c, coeff, x)
+        assert c.tobytes() == want.tobytes()
+
+    def test_random(self, rng):
+        for _ in range(50):
+            K, D = rng.integers(1, 30, 2)
+            c = rng.normal(size=(K, D))
+            c[rng.random((K, D)) < 0.2] = -0.0
+            coeff = rng.uniform(0, 1, K)
+            coeff[rng.random(K) < 0.3] = 0.0
+            x = rng.normal(size=D)
+            want = c.copy()
+            want += coeff[:, None] * (x - want)
+            neighborhood_pull(c, coeff, x)
+            assert c.tobytes() == want.tobytes()
+
+
 class TestSgdStep:
     def test_zero_gradient_batch(self, rng):
         cfg = basic_config("max_component", K=4, tied_spherical=True, init_dsq=1.0)
@@ -305,8 +458,6 @@ class TestTrain:
     def test_grid_built_once_per_run(self, monkeypatch):
         # Annealing rebuilds the kernel on about every second step; every
         # rebuild reuses the run's one topology and its distance matrix.
-        import somgmm.trainer as trainer_mod
-
         counts = {"topologies": 0, "kernels": 0}
         post_init = GridTopology.__post_init__
 
@@ -327,6 +478,15 @@ class TestTrain:
         assert counts["topologies"] <= 3
         assert state.kernel.g.base is None  # the kernel owns its values
         assert not state.topology.distance_sq.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_set_raises_data_error(self, rng, bad):
+        # Minibatches are not checked one by one; run checks every row once.
+        data = random_data(rng, 50, 2)
+        data.samples[37, 1] = bad
+        cfg = basic_config(T=1)
+        with pytest.raises(DataError, match="non-finite"):
+            run(cfg, data)
 
     def test_requires_seed(self, rng):
         cfg = basic_config()
