@@ -35,16 +35,63 @@ def _load_data(path, fmt="auto") -> DataSet:
     raise UsageError(f"unknown data format {fmt!r}")
 
 
-# Config key -> TrainConfig field; keys the file omits take the field defaults.
-_TRAIN_FIELDS = {key: key for key in (
-    "loss_regime", "total_iters", "grid", "periodic", "batch_size", "centroid_scale",
-    "init_dsq", "init_mode", "train_weights", "train_precisions", "seed",
-    "diag_every", "shuffle")} | {"components": "n_components", "tied": "tied_spherical"}
+def _parse_bool(raw):
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_time(raw):
+    """An iteration count, or a fraction of total_iters written "0.3T"; either
+    way a function of total_iters."""
+    if raw.endswith(("T", "t")):
+        fraction = float(raw[:-1])
+        return lambda total_iters: fraction * total_iters
+    iteration = float(raw)
+    return lambda total_iters: iteration
+
+
+# Every config key once: its parser and the TrainConfig field it sets. None
+# marks the schedule keys, which to_train_config builds into schedules, and
+# the file-level keys, which _cmd_train reads. Training keys a file omits take
+# TrainConfig's defaults.
+CONFIG_KEYS = {
+    "loss_regime": (str, "loss_regime"),
+    "components": (int, "n_components"),
+    "grid": (str, "grid"),
+    "periodic": (_parse_bool, "periodic"),
+    "batch_size": (int, "batch_size"),
+    "total_iters": (int, "total_iters"),
+    "sigma0": (float, None),
+    "sigma_inf": (float, None),
+    "eps0": (float, None),
+    "eps_inf": (float, None),
+    "t0": (_parse_time, None),
+    "t_inf": (_parse_time, None),
+    "tau_convention": (str, None),
+    "centroid_scale": (float, "centroid_scale"),
+    "init_dsq": (float, "init_dsq"),
+    "init_mode": (str, "init_mode"),
+    "tied": (_parse_bool, "tied_spherical"),
+    "train_weights": (_parse_bool, "train_weights"),
+    "train_precisions": (_parse_bool, "train_precisions"),
+    "seed": (int, "seed"),
+    "diag_every": (int, "diag_every"),
+    "shuffle": (str, "shuffle"),
+    "data": (str, None),
+    "data_format": (str, None),
+    "output_dir": (str, None),
+    "image_rows": (int, None),
+    "image_cols": (int, None),
+}
+CONFIG_PARSERS = {key: parse for key, (parse, _) in CONFIG_KEYS.items()}
 
 
 def to_train_config(cfg: dict) -> TrainConfig:
-    """Map a parsed run config (see ``io.load_config``) onto a validated
-    TrainConfig; fractional times "0.3T" scale with total_iters."""
+    """Map a parsed run config (``io.load_config(path, CONFIG_PARSERS)``) onto
+    a validated TrainConfig."""
     for key in ("loss_regime", "components", "total_iters", "eps0", "eps_inf",
                 "t0", "t_inf", "seed", "data"):
         if key not in cfg:
@@ -52,32 +99,26 @@ def to_train_config(cfg: dict) -> TrainConfig:
     if ("sigma0" in cfg) != ("sigma_inf" in cfg):
         raise UsageError("config must set sigma0 and sigma_inf together")
 
-    def iteration(key):
-        v = cfg[key]
-        if isinstance(v, str):  # "0.3T" form
-            return float(v[:-1]) * cfg["total_iters"]
-        return v
-
-    t0, t_inf = iteration("t0"), iteration("t_inf")
+    t0, t_inf = (cfg[key](cfg["total_iters"]) for key in ("t0", "t_inf"))
     conv = {"convention": cfg["tau_convention"]} if "tau_convention" in cfg else {}
     eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf, **conv)
     sigma_schedule = None
     if "sigma0" in cfg:
         sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf, **conv)
-    fields = {name: cfg[key] for key, name in _TRAIN_FIELDS.items() if key in cfg}
+    fields = {name: cfg[key] for key, (_, name) in CONFIG_KEYS.items() if name and key in cfg}
     return TrainConfig(eps_schedule=eps_schedule, sigma_schedule=sigma_schedule,
                        **fields).validate()
 
 
 def _cmd_train(args):
-    cfg = sio.load_config(args.config)
+    cfg = sio.load_config(args.config, CONFIG_PARSERS)
     tc = to_train_config(cfg)
-    data = _load_data(cfg["data"], cfg["data_format"])
+    data = _load_data(cfg["data"], cfg.get("data_format", "csv"))
     shape = (cfg.get("image_rows", 1), cfg.get("image_cols", data.dim))
     sio.check_image_shape(shape, data.dim)
     state = train_run(tc, data)
 
-    outdir = Path(cfg["output_dir"])
+    outdir = Path(cfg.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     ckpt = sio.Checkpoint(
         model=state.model,
@@ -127,6 +168,8 @@ def _cmd_cluster(args):
 def _cmd_sample(args):
     if args.n < 1:
         raise UsageError("sample count must be >= 1")
+    if args.seed < 0:
+        raise UsageError("seed must be >= 0")
     ckpt = sio.load_checkpoint(args.model)
     rng = np.random.default_rng(args.seed)
     drawn = inference.sample(ckpt.model, args.n, rng)

@@ -52,14 +52,17 @@ def score_report(
     scores' given percentile."""
     if window < 1:
         raise UsageError("window must be >= 1")
+    if not 0 <= percentile <= 100:
+        raise UsageError("percentile must be in [0, 100]")
     scores = batch_scores(data, model)
     n = scores.size
+    span = min(window, n)  # a window past n, even beyond int64, spans all rows
     # Shifted-slice adds rather than a cumsum, whose differences drift at
     # large N.
     sums = np.zeros(n)
-    for lag in range(min(window, n)):
+    for lag in range(span):
         sums[lag:] += scores[: n - lag]
-    means = sums / np.minimum(np.arange(1, n + 1), window)
+    means = sums / np.minimum(np.arange(1, n + 1), span)
     verdicts = None
     threshold = None
     if reference is not None:

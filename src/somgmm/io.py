@@ -46,6 +46,8 @@ def load_idx(path) -> DataSet:
         raise DataError(
             f"{path}: payload has {len(raw) - header_len} bytes, expected {count}"
         )
+    if count == 0:
+        raise DataError(f"{path}: IDX dimensions {dims} hold no data")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     n = dims[0] if ndim > 1 else count
     samples = pixels.reshape(n, -1).astype(np.float64) / 255.0
@@ -260,61 +262,11 @@ def emit_schedule_trace(history, path):
 # ---------------------------------------------------------------------------
 # Run configuration (flat key=value text file)
 
-def _parse_bool(raw):
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_time(raw):
-    """An iteration count, or a fraction of total_iters written "0.3T"."""
-    if raw.endswith(("T", "t")):
-        float(raw[:-1])  # validate the fraction now
-        return raw[:-1] + "T"
-    return float(raw)
-
-
-_CONFIG_KEYS = {
-    "loss_regime": str,
-    "components": int,
-    "grid": str,
-    "periodic": _parse_bool,
-    "batch_size": int,
-    "total_iters": int,
-    "sigma0": float,
-    "sigma_inf": float,
-    "eps0": float,
-    "eps_inf": float,
-    "t0": _parse_time,
-    "t_inf": _parse_time,
-    "tau_convention": str,
-    "centroid_scale": float,
-    "init_dsq": float,
-    "init_mode": str,
-    "tied": _parse_bool,
-    "train_weights": _parse_bool,
-    "train_precisions": _parse_bool,
-    "seed": int,
-    "diag_every": int,
-    "shuffle": str,
-    "data": str,
-    "data_format": str,
-    "output_dir": str,
-    "image_rows": int,
-    "image_cols": int,
-}
-
-# File-level keys only; training keys the file omits take TrainConfig's defaults.
-_DEFAULTS = {"data_format": "csv", "output_dir": "."}
-
-
-def load_config(path) -> dict:
-    """Parse a flat key=value config into a dict over the file-level
-    defaults, holding only the training keys the file sets; times given as a
-    fraction of total_iters keep the form "0.3T"."""
-    values = dict(_DEFAULTS)
+def load_config(path, parsers) -> dict:
+    """Parse a flat key=value config into a dict holding the keys the file
+    sets, each value converted by ``parsers[key]``; a key without a parser is
+    unknown."""
+    values = {}
     for lineno, line in enumerate(_text_lines(path, UsageError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -323,10 +275,10 @@ def load_config(path) -> dict:
             raise UsageError(f"{path}: line {lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in parsers:
             raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](raw)
+            values[key] = parsers[key](raw)
         except ValueError:
             raise UsageError(
                 f"{path}: line {lineno}: bad value {raw!r} for {key}"

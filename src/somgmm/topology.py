@@ -82,7 +82,7 @@ class NeighborhoodKernel:
 def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     """Gaussian grid kernel g_kj = exp(-dist2(k,j) / (2 sigma^2)), rows
     normalized to unit sum; identity below the fast-path threshold."""
-    if sigma <= 0:
+    if not sigma > 0:  # also rejects NaN
         raise UsageError("sigma must be positive")
     K = topology.n_components
     if sigma < IDENTITY_SIGMA:

@@ -192,6 +192,19 @@ class TestScoreAndCluster:
         for line in capsys.readouterr().out.splitlines():
             assert line.endswith("outlier")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "0"), ("--percentile", "150"), ("--percentile", "-1"),
+        ("--percentile", "nan"),
+    ])
+    def test_bad_window_or_percentile_exit_1(self, trained, capsys, flag, value):
+        ref = trained / "ref.csv"
+        save_csv(four_cluster_data(9), ref)
+        rc = cli.main(["score", "--model", str(trained / "out" / "model.ckpt"),
+                       "--data", str(ref), "--reference", str(ref), f"{flag}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
     def test_cluster_prints_component_per_sample(self, trained, capsys):
         data = trained / "cl.csv"
         save_csv(four_cluster_data(2), data)
@@ -230,9 +243,11 @@ class TestSample:
         assert cli.main(args) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
-    def test_zero_count_exit_1(self, trained, capsys):
+    @pytest.mark.parametrize("n, seed", [("0", "1"), ("3", "-1")],
+                             ids=["count", "seed"])
+    def test_zero_count_exit_1(self, trained, capsys, n, seed):
         rc = cli.main(["sample", "--model", str(trained / "out" / "model.ckpt"),
-                       "-n", "0", "--seed", "1"])
+                       "-n", n, "--seed", seed])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
@@ -370,16 +385,21 @@ EDGE_VALUES = ["", "0", "-1", "9", "inf", "-inf", "nan", "1e308", "5e-324", "0.5
                "2T", "-1T", "infT", "true", "1d", "3d", "epoch", "literal", "exact",
                "data_mean", ".", "idx", "auto", "1_0", "\u0661"]
 
+# Numbers at the edges of the numeric CLI flags' ranges.
+NUMERIC_EDGES = [0, 1, -1, 100, 101, -0.0, 0.5, 1e-300, 2 ** 63, float("nan"),
+                 float("inf"), float("-inf")]
+
 FUZZ_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
-def run_cli(argv):
-    """Exit code and stderr of one in-process CLI call."""
+def run_cli(argv, stdout=None):
+    """Exit code and stderr of one in-process CLI call; stdout goes to
+    ``stdout``, or is dropped."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout or io.StringIO()):
         rc = cli.main(argv)
     return rc, err.getvalue()
 
@@ -405,6 +425,30 @@ class TestBoundaryFuzz:
         # 3 is the documented numeric abort, e.g. eps0 = 1e308 diverges.
         assert rc in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+    @FUZZ_SETTINGS
+    @given(flag=st.sampled_from(["--window", "--percentile", "-n", "--seed", "--sigma"]),
+           value=st.one_of(st.sampled_from(NUMERIC_EDGES), st.integers(-2 ** 70, 2 ** 70),
+                           st.floats()))
+    def test_numeric_flags(self, trained, flag, value):
+        if flag == "-n" and isinstance(value, int):
+            value = min(value, 20)  # every example draws that many rows
+        model = str(trained / "out" / "model.ckpt")
+        data = trained / "fuzz.csv"
+        save_csv(DataSet(four_cluster_data(1).samples[:40]), data)
+        score = ["score", "--model", model, "--data", str(data), "--reference", str(data)]
+        sample = ["sample", "--model", model, "-n", "3", "--seed", "1"]
+        verify = ["verify-equivalence", "--model", model, "--data", str(data)]
+        argv = {"--window": score, "--percentile": score, "-n": sample, "--seed": sample,
+                "--sigma": verify}[flag]
+        # "--flag=value" keeps a negative value from reading as an option; the
+        # last occurrence of a flag wins.
+        out = io.StringIO()
+        rc, err = run_cli(argv + [f"{flag}={value}"], stdout=out)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+        if rc == 0:  # a run that succeeds prints only finite numbers
+            assert "nan" not in out.getvalue()
 
     @FUZZ_SETTINGS
     @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),

@@ -69,7 +69,8 @@ class TestScoreReport:
                 rep.scores[lo:i + 1].mean(), abs=1e-12
             )
 
-    @pytest.mark.parametrize("n, window", [(40, 1), (40, 10), (7, 12), (1, 1), (1, 5)])
+    @pytest.mark.parametrize("n, window", [(40, 1), (40, 10), (7, 12), (1, 1), (1, 5),
+                                           (7, 2 ** 63)])
     def test_window_means_match_loop_definition(self, rng, n, window):
         m = random_model(rng, 3, 2)
         rep = score_report(random_data(rng, n, 2), m, window=window)

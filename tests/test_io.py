@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from somgmm.cli import to_train_config
+from somgmm.cli import CONFIG_PARSERS, to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
     CHECKPOINT_VERSION,
@@ -69,6 +69,12 @@ class TestIdx:
         path = tmp_path / "trunc.idx"
         path.write_bytes(raw[:-3])
         with pytest.raises(DataError, match="payload"):
+            load_idx(path)
+
+    def test_zero_length_first_dimension(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(make_idx_bytes(np.zeros((0, 28, 28), dtype=np.uint8)))
+        with pytest.raises(DataError, match="no data"):
             load_idx(path)
 
     def test_unsupported_type_code(self, tmp_path):
@@ -322,7 +328,7 @@ data_format = idx
     def test_full_scale_hyperparameters_expressible(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(self.FULL_SCALE_CFG)
-        tc = to_train_config(load_config(path))
+        tc = to_train_config(load_config(path, CONFIG_PARSERS))
         assert tc.n_components == 25
         assert tc.total_iters == 24000
         assert tc.sigma_schedule.t0 == pytest.approx(7200)
@@ -359,28 +365,28 @@ data = points.csv
         for text, want in expected.items():
             path = tmp_path / "run.cfg"
             path.write_text(text)
-            assert to_train_config(load_config(path)) == want
+            assert to_train_config(load_config(path, CONFIG_PARSERS)) == want
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("loss_regime = smoothed\nbogus_key = 3\n")
         with pytest.raises(UsageError, match="bogus_key"):
-            load_config(path)
+            load_config(path, CONFIG_PARSERS)
 
     def test_missing_seed_rejected(self, tmp_path):
         path = tmp_path / "noseed.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("seed = 1\n", ""))
         with pytest.raises(UsageError, match="seed"):
-            to_train_config(load_config(path))
+            to_train_config(load_config(path, CONFIG_PARSERS))
 
     def test_invalid_schedule_rejected_before_training(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("sigma_inf = 0.01", "sigma_inf = 5.0"))
         with pytest.raises(UsageError):
-            to_train_config(load_config(path))
+            to_train_config(load_config(path, CONFIG_PARSERS))
 
     def test_non_square_2d_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(self.FULL_SCALE_CFG.replace("components = 25", "components = 24"))
         with pytest.raises(UsageError):
-            to_train_config(load_config(path))
+            to_train_config(load_config(path, CONFIG_PARSERS))

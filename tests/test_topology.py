@@ -93,8 +93,9 @@ class TestBuildKernel:
         assert np.array_equal(build_kernel(GridTopology("2d", 25), sigma).g, g)
 
     def test_non_positive_sigma(self):
-        with pytest.raises(UsageError):
-            build_kernel(GridTopology("1d", 3), 0.0)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(UsageError):
+                build_kernel(GridTopology("1d", 3), sigma)
 
     @given(st.floats(0.05, 50.0), st.sampled_from([4, 9, 16, 25]))
     @settings(max_examples=40, deadline=None)
