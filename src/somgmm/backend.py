@@ -98,6 +98,13 @@ def log_joints(weights, centroids, precision_roots, samples):
 
 def _single_row(base, centroids, psq, x):
     """Log-joints of one row by direct differences (the shift r = x)."""
-    sq = x - centroids
-    sq *= sq
+    diff = x - centroids
+    return _difference_row(base, psq, diff, out=diff)
+
+
+def _difference_row(base, psq, diff, out=None):
+    """Log-joints of one row from its differences ``diff = x - centroids``.
+    The squares are written to ``out``, which may be ``diff`` itself, or to a
+    new array, which leaves ``diff`` for the caller."""
+    sq = np.multiply(diff, diff, out=out)
     return base - 0.5 * np.einsum("ki,ki->k", psq, sq)

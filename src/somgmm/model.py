@@ -188,15 +188,25 @@ def max_component_log_likelihood(data: DataSet, model: MixtureModel) -> float:
     return float(np.mean(np.max(lj, axis=1)))
 
 
-def smoothed_log_joints(data: DataSet, model: MixtureModel, kernel) -> np.ndarray:
-    """N x K matrix of sum_j g_kj [log pi_j + log p_j(x_n)]."""
+def _kernel_matrix(model: MixtureModel, kernel) -> np.ndarray:
+    """The kernel's K x K couplings, checked against the model."""
     g = kernel.g
     if g.shape != (model.n_components, model.n_components):
         raise UsageError("kernel size does not match the model's component count")
+    return g
+
+
+def _smooth(lj: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """N x K matrix of sum_j g_kj lj_nj for log-joints lj."""
     # Clamp -inf joints (zero weights) so identity-kernel zeros cannot
     # produce 0 * -inf = nan in the convolution.
-    lj = np.maximum(log_joint_matrix(data, model), -1e300)
-    return lj @ g.T
+    return np.maximum(lj, -1e300) @ g.T
+
+
+def smoothed_log_joints(data: DataSet, model: MixtureModel, kernel) -> np.ndarray:
+    """N x K matrix of sum_j g_kj [log pi_j + log p_j(x_n)]."""
+    g = _kernel_matrix(model, kernel)
+    return _smooth(log_joint_matrix(data, model), g)
 
 
 def smoothed_log_likelihood(data: DataSet, model: MixtureModel, kernel) -> float:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backend
 from . import model as mc
 from .exceptions import NumericsError, UsageError
 from .model import DataSet, MixtureModel, D_MAX, D_MIN, WEIGHT_FLOOR
@@ -101,6 +102,33 @@ class DataStats:
         return cls(data.samples.mean(axis=0), data.samples.var(axis=0))
 
 
+@dataclass(frozen=True)
+class TiedTerms:
+    """Precision terms of a tied model whose shared root has settled.
+
+    Made after a re-tie that left d uniform at ``v`` in an array of
+    ``layout`` (shape, strides, dtype) for which clip, mean and assign write
+    back v.  For a model whose d has that layout and is uniform at v and
+    whose weights equal ``weights``, ``psq`` is bitwise ``d ** 2``, ``base``
+    bitwise ``backend._log_normaliser(weights, d)``, and the re-tie leaves d
+    as it is.  The arrays are read-only.
+    """
+
+    v: np.float64
+    layout: tuple
+    weights: np.ndarray
+    psq: np.ndarray
+    base: np.ndarray
+
+    def hold_for(self, model: MixtureModel) -> bool:
+        """Whether the terms are ``model``'s: one read of its d."""
+        d, w = model.precision_roots, model.weights
+        return ((d.shape, d.strides, d.dtype) == self.layout
+                and w.dtype == self.weights.dtype
+                and np.array_equal(w, self.weights)
+                and bool((d == self.v).all()))
+
+
 @dataclass
 class TrainState:
     model: MixtureModel
@@ -111,6 +139,7 @@ class TrainState:
     kernel: NeighborhoodKernel | None = None
     probe: DataSet | None = None
     stats: DataStats | None = None
+    tied_terms: TiedTerms | None = None  # kept by the tied single-sample step
 
 
 def init_model(config: TrainConfig, rng: np.random.Generator, dim: int) -> MixtureModel:
@@ -178,11 +207,15 @@ def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return gpi - weights * gpi.sum()
 
 
-def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, x: np.ndarray):
-    """In-place pull of every centroid toward x, scaled per component."""
-    # Three statements so that only one K x D temporary is allocated; bitwise
-    # centroids += coeff[:, None] * (x - centroids).
-    step = x - centroids
+def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, x: np.ndarray,
+                      diff: np.ndarray | None = None):
+    """In-place pull of every centroid toward x, scaled per component.
+
+    A caller that already holds ``diff = x - centroids`` passes it and it is
+    scaled in place instead of a new difference."""
+    # Three statements so that at most one K x D temporary is allocated;
+    # bitwise centroids += coeff[:, None] * (x - centroids).
+    step = x - centroids if diff is None else diff
     step *= coeff[:, None]
     centroids += step
 
@@ -272,26 +305,72 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     if config.loss_regime == "exact":
         gmu, gd, gpi = grad_exact(batch, model)
         _apply(model, config, eps, gmu, gd, gpi)
+        enforce_constraints(model)
     else:
         kernel = _regime_kernel(state, config, sigma)
         if model.tied_spherical and batch.count == 1:
-            # Single-sample tied update, grouped so that it is bit-identical
-            # to the prototype-map rule under the eps/d^2 rate mapping.
-            winners, _ = _winner_rows(batch, model, kernel)
-            dsq = model.tied_precision_root ** 2
-            coeff = (eps * dsq) * kernel.g[winners[0]]
-            neighborhood_pull(model.centroids, coeff, batch.samples[0])
+            _tied_sample_step(state, batch, kernel, eps)
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
             _apply(model, config, eps, gmu, gd, gpi)
+            enforce_constraints(model)
 
-    enforce_constraints(model)
     state.t = t + 1
     if state.probe is not None and (
         state.t % config.diag_every == 0 or state.t == config.total_iters
     ):
         _log_row(state, config)
     return state
+
+
+def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKernel,
+                      eps: float):
+    """Single-sample tied update followed by the re-tie, grouped so that it
+    is bit-identical to the prototype-map rule under the eps/d^2 rate mapping.
+
+    x - mu is computed once and serves both the winner's log-joint row and
+    the pull.  When ``state.tied_terms`` hold for the model, checking them is
+    the step's one read of d; their psq and base are used and the re-tie is
+    skipped: it would write back d and the weights, which equal the kept
+    copy of 1/K.  Otherwise the terms are computed from the model,
+    enforce_constraints re-ties it, and new terms are kept if the re-tie has
+    reached its fixed point.
+    """
+    model = state.model
+    g = mc._kernel_matrix(model, kernel)
+    mc._check_dims(batch, model)
+    terms = state.tied_terms
+    hit = terms is not None and terms.hold_for(model)
+    if hit:
+        base, psq = terms.base, terms.psq
+    else:
+        base = backend._log_normaliser(model.weights, model.precision_roots)
+        psq = model.precision_roots ** 2
+    x = batch.samples[0]
+    diff = x - model.centroids
+    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
+    winner = np.argmax(scores, axis=1)[0]  # ties: lowest index
+    coeff = (eps * model.tied_precision_root ** 2) * g[winner]
+    neighborhood_pull(model.centroids, coeff, x, diff)
+    if not hit:
+        enforce_constraints(model)
+        state.tied_terms = _settled_terms(model)
+
+
+def _settled_terms(model: MixtureModel) -> TiedTerms | None:
+    """TiedTerms of a model that enforce_constraints has just re-tied, or
+    None while its d is not at the settled record's fixed point."""
+    settled = _settled
+    d = model.precision_roots
+    if (settled is None or settled[1] != (d.shape, d.strides, d.dtype)
+            or not (d == settled[0]).all()):
+        return None
+    weights = model.weights.copy()
+    psq = d ** 2
+    for arr in (weights, psq):
+        arr.setflags(write=False)
+    return TiedTerms(settled[0], settled[1], weights, psq,
+                     backend._log_normaliser(weights, d))
 
 
 def _apply(model, config, eps, gmu, gd, gpi):

@@ -1,12 +1,17 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import somgmm
 from conftest import four_cluster_data
 from somgmm import cli
 from somgmm.exceptions import NumericsError, UsageError
@@ -301,6 +306,18 @@ class TestInspectAndErrors:
     def test_missing_model_exit_2(self, tmp_path, capsys):
         rc = cli.main(["inspect", "--model", str(tmp_path / "nope.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("module", ["somgmm", "somgmm.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        path = [str(Path(somgmm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for args, code, message in (
+                (["inspect", "--model", str(tmp_path / "nope.ckpt")], 2, "data error"),
+                ([], 1, "usage error")):
+            out = subprocess.run([sys.executable, "-m", module, *args], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == code
+            assert message in out.stderr and "Traceback" not in out.stderr
 
     def test_corrupt_model_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -6,6 +6,11 @@ A K=25, D=64 tied run covers the settling of the shared precision root and
 a neighbourhood annealed until its off-diagonal couplings are exact zeros.
 One more digest covers the per-row output of ``somgmm cluster`` and
 ``somgmm score --reference`` on a trained model.
+The tied max_component batch-1 run covers the identity-kernel branch of the
+tied single-sample step; its digest was recorded before that step kept its
+settled precision terms on the training state.  It equals the untied
+max_component digest: with d = 1 and frozen weights, the tied pull and the
+untied gradient step round the same products.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
 round differently, and then the digests have to be recorded again from an
 unchanged commit on that build.
@@ -43,6 +48,7 @@ def _config(regime, batch_size, tied=False, trained=False, components=4):
 RUNS = {
     "exact_batch4_trained": _config("exact", 4, trained=True),
     "max_component_untied_batch1": _config("max_component", 1),
+    "max_component_tied_batch1": _config("max_component", 1, tied=True),
     "smoothed_untied_batch3": _config("smoothed", 3),
     "smoothed_tied_batch1": _config("smoothed", 1, tied=True),
 }
@@ -51,6 +57,8 @@ GOLDEN = {
     "exact_batch4_trained":
         "42bd0e2e74a2e6948e5357c2bc0024cd43f374c00279013fa9a30d3d5828ac2b",
     "max_component_untied_batch1":
+        "842186d36a13aeafa3538f8adb476d5b24f6a9b3251aee0063a4c455a25f751d",
+    "max_component_tied_batch1":
         "842186d36a13aeafa3538f8adb476d5b24f6a9b3251aee0063a4c455a25f751d",
     "smoothed_untied_batch3":
         "c27ddfb22d5838daf2cef2eca182a83e8f7f825dad319079907ca861618fa53e",

@@ -411,6 +411,148 @@ class TestSgdStep:
             sgd_step(state, batch, cfg)
 
 
+def tied_step_as_written_before_the_terms(model, kernel, eps, x):
+    """The tied single-sample step and re-tie as they were before sgd_step
+    kept the settled terms: winner row through the log-joint kernel, a pull
+    from a fresh difference, the full enforce_constraints."""
+    winners, _ = trainer_mod._winner_rows(DataSet(x[None, :]), model, kernel)
+    coeff = (eps * model.tied_precision_root ** 2) * kernel.g[winners[0]]
+    neighborhood_pull(model.centroids, coeff, x)
+    enforce_constraints(model)
+
+
+def clone(model):
+    """A copy of the model; precision roots held in a [:, ::2] view are
+    copied into one of the same strides."""
+    out = model.copy()
+    d = model.precision_roots
+    if d.strides != out.precision_roots.strides:
+        out.precision_roots = np.repeat(d, 2, axis=1)[:, ::2]
+        assert out.precision_roots.strides == d.strides
+    return out
+
+
+class TestTiedTerms:
+    """The tied single-sample branch of sgd_step keeps the settled precision
+    terms on the state and skips the re-tie while they hold; every step must
+    equal the step as written before, bit for bit."""
+
+    EPS = 0.05
+
+    @pytest.fixture(autouse=True)
+    def no_record(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "_settled", None)
+
+    def make(self, rng, regime="smoothed", K=25, D=64, init_dsq=5.0):
+        cfg = basic_config(regime, K=K, T=1000, tied_spherical=True,
+                           init_dsq=init_dsq, eps_schedule=flat_schedule(self.EPS))
+        data = random_data(rng, 40, D)
+        state = make_state(cfg, data)
+        state.probe = None  # no history rows: only the step is compared
+        if regime == "smoothed":
+            kernel = build_kernel(state.topology, 0.8)
+        else:
+            kernel = NeighborhoodKernel(np.eye(K), 0.0)
+        return cfg, data, state, kernel
+
+    def step(self, state, cfg, kernel, x):
+        """One sgd_step, compared bitwise with the old chain on a clone;
+        returns whether the step used the kept terms."""
+        want = clone(state.model)
+        before = state.tied_terms
+        sgd_step(state, DataSet(x[None, :]), cfg)
+        tied_step_as_written_before_the_terms(want, kernel, self.EPS, x)
+        assert_same_bits(state.model, want)
+        return before is not None and state.tied_terms is before
+
+    def settle(self, state, cfg, kernel, data, steps=4):
+        for i in range(steps):
+            self.step(state, cfg, kernel, data.samples[i])
+        assert state.tied_terms is not None
+        assert self.step(state, cfg, kernel, data.samples[steps])
+
+    @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
+    def test_settled_steps_use_the_terms(self, rng, regime):
+        cfg, data, state, kernel = self.make(rng, regime)
+        hits = [self.step(state, cfg, kernel, x) for x in data.samples]
+        assert hits[0] is False and all(hits[5:])
+        assert not state.tied_terms.psq.flags.writeable
+        # A settled step writes neither d nor the weights.
+        state.model.precision_roots.setflags(write=False)
+        state.model.weights.setflags(write=False)
+        assert self.step(state, cfg, kernel, data.samples[0])
+
+    def test_ulp_drift_before_settling(self, rng):
+        # sqrt(3) tiled over 25 x 64 averages one ulp up, twice, then stays.
+        cfg, data, state, kernel = self.make(rng, init_dsq=3.0)
+        seen, hits = [], []
+        for x in data.samples[:8]:
+            hits.append(self.step(state, cfg, kernel, x))
+            seen.append(state.model.precision_roots[0, 0])
+        assert math.sqrt(3.0) < seen[0] < seen[1] == seen[-1]
+        assert hits == [False] * 3 + [True] * 5
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_one_ulp_nudge_in_place(self, rng, direction):
+        cfg, data, state, kernel = self.make(rng)
+        self.settle(state, cfg, kernel, data)
+        d = state.model.precision_roots
+        d[7, 11] = np.nextafter(d[7, 11], direction)
+        assert not self.step(state, cfg, kernel, data.samples[10])
+        for x in data.samples[11:16]:
+            self.step(state, cfg, kernel, x)
+
+    def test_weights_edited_in_place(self, rng):
+        cfg, data, state, kernel = self.make(rng, "max_component")
+        self.settle(state, cfg, kernel, data)
+        state.model.weights[:] = np.linspace(1.0, 2.0, 25) / np.linspace(1.0, 2.0, 25).sum()
+        assert not self.step(state, cfg, kernel, data.samples[10])
+        assert np.all(state.model.weights == 1.0 / 25)
+        assert self.step(state, cfg, kernel, data.samples[11])
+
+    def test_strided_precision_roots(self, rng):
+        cfg, data, state, kernel = self.make(rng)
+        self.settle(state, cfg, kernel, data)
+        v = state.model.precision_roots[0, 0]
+        state.model.precision_roots = np.full((25, 128), v)[:, ::2]
+        assert not self.step(state, cfg, kernel, data.samples[10])
+        for x in data.samples[11:16]:
+            self.step(state, cfg, kernel, x)
+        assert state.model.precision_roots.strides == (1024, 16)
+
+    def test_model_swapped_for_a_copy(self, rng):
+        cfg, data, state, kernel = self.make(rng)
+        self.settle(state, cfg, kernel, data)
+        state.model = state.model.copy()
+        assert self.step(state, cfg, kernel, data.samples[10])
+
+    def test_model_swapped_for_another(self, rng):
+        cfg, data, state, kernel = self.make(rng)
+        self.settle(state, cfg, kernel, data)
+        other = state.model.copy()
+        other.precision_roots[...] = 1.5
+        state.model = other
+        assert not self.step(state, cfg, kernel, data.samples[10])
+
+    @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
+    @pytest.mark.parametrize("settled", [False, True])
+    def test_wrong_kernel_size_raises(self, rng, regime, settled):
+        cfg, data, state, kernel = self.make(rng, regime)
+        if settled:
+            self.settle(state, cfg, kernel, data)
+        state.kernel = NeighborhoodKernel(np.eye(24), 0.8 if regime == "smoothed" else 0.0)
+        with pytest.raises(UsageError, match="kernel size"):
+            sgd_step(state, DataSet(data.samples[:1]), cfg)
+
+    @pytest.mark.parametrize("dim", [1, 65])
+    def test_wrong_sample_dimension_raises(self, rng, dim):
+        # A one-dimensional sample would broadcast against the centroids.
+        cfg, data, state, kernel = self.make(rng)
+        self.settle(state, cfg, kernel, data)
+        with pytest.raises(UsageError, match="dimension"):
+            sgd_step(state, DataSet(np.ones((1, dim))), cfg)
+
+
 class TestDetectCollapse:
     def _stats(self, data):
         return DataStats.from_data(data)
@@ -478,6 +620,20 @@ class TestTrain:
         assert counts["topologies"] <= 3
         assert state.kernel.g.base is None  # the kernel owns its values
         assert not state.topology.distance_sq.flags.writeable
+
+    def test_tied_batch1_run_steps_and_pulls_once_per_iteration(self, monkeypatch):
+        # The benchmark cross-checks both call counts against T.
+        counts = {"sgd_step": 0, "neighborhood_pull": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(trainer_mod, name), _name=name, **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(trainer_mod, name, counting)
+        cfg = annealed_benchmark_config(T=300)
+        cfg.seed = 2
+        state = run(cfg, four_cluster_data(2))
+        assert state.tied_terms is not None
+        assert counts == {"sgd_step": 300, "neighborhood_pull": 300}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_set_raises_data_error(self, rng, bad):
