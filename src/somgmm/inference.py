@@ -14,7 +14,7 @@ def outlier_score(x, model: MixtureModel) -> float:
     """Single-sample score max_k [log pi_k + log p_k(x)], in nats; higher
     means more likely inlier."""
     x = mc.as_vector(x, model)
-    lj = mc.log_joint_matrix(DataSet(x[None, :]), model)
+    lj = mc.log_joint_matrix(mc._trusted_dataset(x[None, :], {}), model)
     return float(np.max(lj[0]))
 
 
@@ -27,7 +27,7 @@ def assign_cluster(x, model: MixtureModel) -> int:
     """Index of the component with the largest joint log-density; lowest
     index on ties."""
     x = mc.as_vector(x, model)
-    lj = mc.log_joint_matrix(DataSet(x[None, :]), model)
+    lj = mc.log_joint_matrix(mc._trusted_dataset(x[None, :], {}), model)
     return int(np.argmax(lj[0]))
 
 

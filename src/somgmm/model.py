@@ -148,18 +148,18 @@ def _check_dims(data: DataSet, model: MixtureModel):
 
 
 def as_vector(x, model: MixtureModel) -> np.ndarray:
-    """x as a float64 vector of the model's dimension."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as a finite, C-contiguous float64 vector of the model's dimension."""
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.shape != (model.dim,):
         raise UsageError(f"expected a vector of dimension {model.dim}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("non-finite input vector")
     return x
 
 
 def component_log_density(x, model: MixtureModel, k: int) -> float:
     """log p_k(x) for the diagonal Gaussian of component k."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite input vector")
+    x = as_vector(x, model)
     if not 0 <= k < model.n_components:
         raise UsageError(f"component index {k} out of range")
     d = model.precision_roots[k]

@@ -77,12 +77,12 @@ def bmu(x, view: SomView) -> int:
 def som_update(view: SomView, x, epsilon: float):
     """One online step: pull every prototype toward x in proportion to its
     kernel coupling with the BMU."""
-    if epsilon < 0:
-        raise UsageError("epsilon must be non-negative")
+    if not 0 <= epsilon < math.inf:
+        raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
     winner = bmu(x, view)
     coeff = epsilon * view.kernel.g[winner]
-    neighborhood_pull(view.prototypes, coeff, x)
+    neighborhood_pull(view.prototypes, coeff, x - view.prototypes)
     return view
 
 

@@ -106,9 +106,11 @@ class DataStats:
 class TiedTerms:
     """Precision terms of a tied model whose shared root has settled.
 
-    Made after a re-tie that left d uniform at ``v`` in an array of
-    ``layout`` (shape, strides, dtype) for which clip, mean and assign write
-    back v.  For a model whose d has that layout and is uniform at v and
+    Made after a re-tie that found d uniform at ``v`` and wrote back v:
+    averaging K*D copies of a value can move it by an ulp, but the mean of a
+    uniform array depends only on v and the layout (shape, strides, dtype),
+    so any array of ``layout`` that is uniform at v is a fixed point of the
+    re-tie.  For a model whose d has that layout and is uniform at v and
     whose weights equal ``weights``, ``psq`` is bitwise ``d ** 2``, ``base``
     bitwise ``backend._log_normaliser(weights, d)``, and the re-tie leaves d
     as it is.  The arrays are read-only.
@@ -119,6 +121,17 @@ class TiedTerms:
     weights: np.ndarray
     psq: np.ndarray
     base: np.ndarray
+
+    @classmethod
+    def of(cls, model: MixtureModel, v: np.float64) -> "TiedTerms":
+        """The terms of a just re-tied model whose d is uniform at v."""
+        d = model.precision_roots
+        weights = model.weights.copy()
+        psq = d ** 2
+        for arr in (weights, psq):
+            arr.setflags(write=False)
+        return cls(v, (d.shape, d.strides, d.dtype), weights, psq,
+                   backend._log_normaliser(weights, d))
 
     def hold_for(self, model: MixtureModel) -> bool:
         """Whether the terms are ``model``'s: one read of its d."""
@@ -207,49 +220,23 @@ def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return gpi - weights * gpi.sum()
 
 
-def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, x: np.ndarray,
-                      diff: np.ndarray | None = None):
-    """In-place pull of every centroid toward x, scaled per component.
-
-    A caller that already holds ``diff = x - centroids`` passes it and it is
-    scaled in place instead of a new difference."""
-    # Three statements so that at most one K x D temporary is allocated;
-    # bitwise centroids += coeff[:, None] * (x - centroids).
-    step = x - centroids if diff is None else diff
-    step *= coeff[:, None]
-    centroids += step
-
-
-# (v, (shape, strides, dtype)) of the last tied precision array that was
-# uniform at v and that clip, mean and assign left at v.  The mean of a
-# uniform array depends only on v and this layout, so any array of the layout
-# that is uniform at v is a fixed point of the re-tie.  Replaced as one tuple.
-_settled = None
+def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, diff: np.ndarray):
+    """In-place pull of every centroid toward x, scaled per component, from
+    the caller's ``diff = x - centroids``, which is scaled in place: bitwise
+    centroids += coeff[:, None] * (x - centroids) with one K x D temporary."""
+    diff *= coeff[:, None]
+    centroids += diff
 
 
 def enforce_constraints(model: MixtureModel) -> MixtureModel:
-    """Renormalize weights onto the (floored) simplex and clamp precision
-    roots; tied models re-tie the shared d and keep weights at exactly 1/K.
-
-    A tied array that matches the settled record is left untouched: clip,
-    mean and assign would write back the values it holds.
-    """
-    global _settled
+    """Clamp precision roots; tied models re-tie the shared d to its mean and
+    keep weights at exactly 1/K, untied ones renormalize weights onto the
+    (floored) simplex."""
     d = model.precision_roots
-    if model.tied_spherical:
-        layout = (d.shape, d.strides, d.dtype)
-        settled = _settled
-        if settled is not None and settled[1] == layout and (d == settled[0]).all():
-            model.weights[...] = 1.0 / model.n_components
-            return model
-        v = d.flat[0]
-        uniform = (d == v).all()
     np.clip(d, D_MIN, D_MAX, out=d)
     if model.tied_spherical:
         d[...] = d.mean()
         model.weights[...] = 1.0 / model.n_components
-        if uniform and d.flat[0] == v:
-            _settled = (v, layout)
         return model
     w = model.weights
     np.maximum(w, WEIGHT_FLOOR, out=w)
@@ -279,8 +266,13 @@ def _current_loss(state: TrainState, config: TrainConfig):
     return mc.smoothed_log_likelihood(probe, state.model, state.kernel)
 
 
+def _sigma(config: TrainConfig, t: int) -> float:
+    """The neighbourhood radius at step t; 0 without a sigma schedule."""
+    return sigma_at(config.sigma_schedule, t) if config.sigma_schedule else 0.0
+
+
 def _log_row(state: TrainState, config: TrainConfig):
-    sigma = sigma_at(config.sigma_schedule, state.t) if config.sigma_schedule else 0.0
+    sigma = _sigma(config, state.t)
     eps = epsilon_at(config.eps_schedule, state.t)
     loss = _current_loss(state, config)
     if not np.isfinite(loss):
@@ -300,7 +292,7 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     model = state.model
     t = state.t
     eps = epsilon_at(config.eps_schedule, t)
-    sigma = sigma_at(config.sigma_schedule, t) if config.sigma_schedule else 0.0
+    sigma = _sigma(config, t)
 
     if config.loss_regime == "exact":
         gmu, gd, gpi = grad_exact(batch, model)
@@ -333,44 +325,31 @@ def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKer
     the step's one read of d; their psq and base are used and the re-tie is
     skipped: it would write back d and the weights, which equal the kept
     copy of 1/K.  Otherwise the terms are computed from the model,
-    enforce_constraints re-ties it, and new terms are kept if the re-tie has
-    reached its fixed point.
+    enforce_constraints re-ties it, and new terms are kept if d was uniform
+    at some v before the re-tie and still holds v after it.
     """
     model = state.model
     g = mc._kernel_matrix(model, kernel)
     mc._check_dims(batch, model)
     terms = state.tied_terms
     hit = terms is not None and terms.hold_for(model)
+    d = model.precision_roots
     if hit:
         base, psq = terms.base, terms.psq
     else:
-        base = backend._log_normaliser(model.weights, model.precision_roots)
-        psq = model.precision_roots ** 2
+        v = d.flat[0]
+        uniform = (d == v).all()
+        base = backend._log_normaliser(model.weights, d)
+        psq = d ** 2
     x = batch.samples[0]
     diff = x - model.centroids
     scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
     winner = np.argmax(scores, axis=1)[0]  # ties: lowest index
     coeff = (eps * model.tied_precision_root ** 2) * g[winner]
-    neighborhood_pull(model.centroids, coeff, x, diff)
+    neighborhood_pull(model.centroids, coeff, diff)
     if not hit:
         enforce_constraints(model)
-        state.tied_terms = _settled_terms(model)
-
-
-def _settled_terms(model: MixtureModel) -> TiedTerms | None:
-    """TiedTerms of a model that enforce_constraints has just re-tied, or
-    None while its d is not at the settled record's fixed point."""
-    settled = _settled
-    d = model.precision_roots
-    if (settled is None or settled[1] != (d.shape, d.strides, d.dtype)
-            or not (d == settled[0]).all()):
-        return None
-    weights = model.weights.copy()
-    psq = d ** 2
-    for arr in (weights, psq):
-        arr.setflags(write=False)
-    return TiedTerms(settled[0], settled[1], weights, psq,
-                     backend._log_normaliser(weights, d))
+        state.tied_terms = TiedTerms.of(model, v) if uniform and d.flat[0] == v else None
 
 
 def _apply(model, config, eps, gmu, gd, gpi):
@@ -457,9 +436,8 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
     mc._require_finite(data.samples)
     state = make_state(config, data, resume)
     if state.t == 0:
-        sigma0 = sigma_at(config.sigma_schedule, 0) if config.sigma_schedule else 0.0
         if config.loss_regime != "exact":
-            _regime_kernel(state, config, sigma0)
+            _regime_kernel(state, config, _sigma(config, 0))
         _log_row(state, config)
     N = data.count
     perm = None

@@ -10,7 +10,11 @@ The tied max_component batch-1 run covers the identity-kernel branch of the
 tied single-sample step; its digest was recorded before that step kept its
 settled precision terms on the training state.  It equals the untied
 max_component digest: with d = 1 and frozen weights, the tied pull and the
-untied gradient step round the same products.
+untied gradient step round the same products; for the same reason the tied
+smoothed batch-3 run equals the untied one.  The tied batch-3 and batch-4
+runs re-tie the shared precision root on every step; their digests were
+recorded while a module-level record still let the re-tie skip a settled
+array.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
 round differently, and then the digests have to be recorded again from an
 unchanged commit on that build.
@@ -51,6 +55,8 @@ RUNS = {
     "max_component_tied_batch1": _config("max_component", 1, tied=True),
     "smoothed_untied_batch3": _config("smoothed", 3),
     "smoothed_tied_batch1": _config("smoothed", 1, tied=True),
+    "smoothed_tied_batch3": _config("smoothed", 3, tied=True),
+    "exact_tied_batch4": _config("exact", 4, tied=True),
 }
 
 GOLDEN = {
@@ -64,6 +70,10 @@ GOLDEN = {
         "c27ddfb22d5838daf2cef2eca182a83e8f7f825dad319079907ca861618fa53e",
     "smoothed_tied_batch1":
         "c35fda4c768a9bdd529aa3c73c486c759d9bfc973123ebca5ed63ab99d431046",
+    "smoothed_tied_batch3":
+        "c27ddfb22d5838daf2cef2eca182a83e8f7f825dad319079907ca861618fa53e",
+    "exact_tied_batch4":
+        "4291ccb083280c20f0ee3145b24a7665f5b38e0e0aaeef7156412e84f3dde1e7",
     "verify_equivalence":
         "615ab2bcb9da259def071f2d7a9e2a4cfa8060f72680953bb6a345a6305dba4e",
     "inference":

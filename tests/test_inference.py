@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_data, random_model
-from somgmm.exceptions import UsageError
+from somgmm.exceptions import DataError, UsageError
 from somgmm.inference import (
     assign_cluster,
     batch_scores,
@@ -109,6 +109,19 @@ class TestAssignCluster:
     def test_not_a_model_vector(self, x):
         with pytest.raises(UsageError, match="dimension 2"):
             assign_cluster(x, separated_model())
+
+    @pytest.mark.parametrize("fn", [assign_cluster, outlier_score])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector(self, fn, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            fn([bad, 0.0], separated_model())
+
+    def test_strided_vector(self):
+        m = separated_model()
+        rows = np.array([[6.0, 0.0, 6.0], [-6.0, 0.0, 5.0]])
+        for x in (rows[0, ::2], rows[:, 2]):
+            assert assign_cluster(x, m) == assign_cluster(x.copy(), m)
+            assert outlier_score(x, m) == outlier_score(x.copy(), m)
 
     def test_invariant_under_monotone_shift(self, rng):
         # Scaling all weights equally shifts every log-score by a constant.

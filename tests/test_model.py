@@ -61,6 +61,12 @@ class TestComponentLogDensity:
         with pytest.raises(DataError):
             component_log_density(np.array([np.nan, 0, 0]), m, 0)
 
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], 0.5, [[0.5, 0.5]]])
+    def test_not_a_model_vector(self, rng, x):
+        # A length-1 vector would broadcast against a D = 2 centroid.
+        with pytest.raises(UsageError, match="dimension 2"):
+            component_log_density(np.array(x), random_model(rng, 2, 2), 0)
+
 
 class TestFullLogLikelihood:
     def test_single_component_collapses(self, rng):

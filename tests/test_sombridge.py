@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_data, random_model
-from somgmm.exceptions import UsageError
+from somgmm.exceptions import DataError, UsageError
 from somgmm import sombridge
 from somgmm.model import DataSet, MixtureModel
 from somgmm.sombridge import (
@@ -122,6 +122,25 @@ class TestSomUpdate:
         view = tied_view(rng)
         before = view.prototypes.copy()
         som_update(view, rng.normal(size=3), 0.0)
+        assert np.array_equal(view.prototypes, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, rng, bad):
+        view = tied_view(rng)
+        before = view.prototypes.copy()
+        x = np.array([bad, 0.0, 1.0])
+        with pytest.raises(DataError, match="non-finite"):
+            bmu(x, view)
+        with pytest.raises(DataError, match="non-finite"):
+            som_update(view, x, 0.5)
+        assert np.array_equal(view.prototypes, before)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_epsilon_rejected(self, rng, eps):
+        view = tied_view(rng)
+        before = view.prototypes.copy()
+        with pytest.raises(UsageError, match="epsilon"):
+            som_update(view, rng.normal(size=3), eps)
         assert np.array_equal(view.prototypes, before)
 
     def test_equals_sgd_step_after_rate_mapping(self, rng):

@@ -205,7 +205,8 @@ class TestEnforceConstraints:
 
 
 def retie_as_written_before_the_record(model):
-    """The tied branch of enforce_constraints without the settled record."""
+    """The tied branch of enforce_constraints as it was written before it
+    kept a record of the settled value."""
     np.clip(model.precision_roots, D_MIN, D_MAX, out=model.precision_roots)
     model.precision_roots[...] = model.precision_roots.mean()
     model.weights[...] = 1.0 / model.n_components
@@ -224,12 +225,8 @@ def assert_same_bits(a, b):
 
 
 class TestSettledRetie:
-    """enforce_constraints skips the re-tie of an array matching the settled
-    record; every call must still equal the full clip, mean and assign."""
-
-    @pytest.fixture(autouse=True)
-    def no_record(self, monkeypatch):
-        monkeypatch.setattr(trainer_mod, "_settled", None)
+    """Every tied enforce_constraints call equals the full clip, mean and
+    assign; the training step alone records where the re-tie settled."""
 
     def check(self, model):
         """One call, compared bitwise with the full re-tie on a copy."""
@@ -241,7 +238,9 @@ class TestSettledRetie:
         for _ in range(calls):
             model.weights[0] = 0.5  # weights are reset on every call
             self.check(model)
-        assert trainer_mod._settled is not None
+        before = model.precision_roots.copy()
+        self.check(model)
+        assert model.precision_roots.tobytes() == before.tobytes()
 
     def test_non_uniform(self, rng):
         m = tied_model(1.0)
@@ -250,8 +249,7 @@ class TestSettledRetie:
             self.check(m)
 
     def test_non_uniform_with_mean_at_first_entry(self):
-        # d averages to d[0, 0] = v, but 5 x 5 copies of v do not average to
-        # v: a non-uniform array must leave no record.
+        # d averages to d[0, 0] = v, but 5 x 5 copies of v do not average to v.
         v = float.fromhex("0x1.5d58f88c4dcafp+1")
         m = tied_model(v, K=5, D=5)
         m.precision_roots[2, 1] += 0.29258146994545403
@@ -262,20 +260,26 @@ class TestSettledRetie:
         self.check(fresh)
         assert fresh.precision_roots[0, 0] != v
 
-    def test_uniform_ulp_drift_then_settles(self):
-        # sqrt(3) over 25 x 64 averages one ulp up, twice, then stays.
-        m = tied_model(math.sqrt(3.0))
-        seen = [m.precision_roots[0, 0]]
-        for _ in range(4):
-            self.check(m)
-            seen.append(m.precision_roots[0, 0])
-            # A value that moved leaves no record: it moves again elsewhere.
-            self.check(tied_model(seen[0]))
-        assert seen[0] < seen[1] < seen[2] == seen[3] == seen[4]
-        assert trainer_mod._settled[0] == seen[2]
-        # The settled array is not written any more.
-        m.precision_roots.setflags(write=False)
-        self.check(m)
+    def test_uniform_ulp_drift_then_settles(self, rng):
+        # sqrt(3) over 25 x 64 averages one ulp up, twice, then stays;
+        # sqrt(8.551) over 5 x 5 one ulp down, twice.  The first step that
+        # keeps terms is the first whose re-tie wrote back its value, so the
+        # step after it is the first to use them.
+        for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
+            cfg = basic_config("max_component", K=K, T=8, grid="1d",
+                               tied_spherical=True, init_dsq=init_dsq)
+            data = random_data(rng, 8, D)
+            state = make_state(cfg, data)
+            seen, hits = [state.model.precision_roots[0, 0]], []
+            for x in data.samples:
+                before = state.tied_terms
+                sgd_step(state, DataSet(x[None, :]), cfg)
+                hits.append(before is not None and state.tied_terms is before)
+                seen.append(state.model.precision_roots[0, 0])
+                want = retie_as_written_before_the_record(tied_model(seen[-2], K, D))
+                assert want.precision_roots[0, 0] == seen[-1]
+            assert seen[0] != seen[1] != seen[2] == seen[-1]
+            assert hits == [False] * 3 + [True] * 5
 
     @pytest.mark.parametrize("v", [0.5 * D_MIN, 2.0 * D_MAX])
     def test_uniform_out_of_bounds(self, v):
@@ -335,7 +339,7 @@ class TestNeighborhoodPull:
         x = np.array([x0, x0, -0.0])
         want = c.copy()
         want += coeff[:, None] * (x - want)
-        neighborhood_pull(c, coeff, x)
+        neighborhood_pull(c, coeff, x - c)
         assert c.tobytes() == want.tobytes()
 
     def test_random(self, rng):
@@ -348,7 +352,7 @@ class TestNeighborhoodPull:
             x = rng.normal(size=D)
             want = c.copy()
             want += coeff[:, None] * (x - want)
-            neighborhood_pull(c, coeff, x)
+            neighborhood_pull(c, coeff, x - c)
             assert c.tobytes() == want.tobytes()
 
 
@@ -417,7 +421,7 @@ def tied_step_as_written_before_the_terms(model, kernel, eps, x):
     from a fresh difference, the full enforce_constraints."""
     winners, _ = trainer_mod._winner_rows(DataSet(x[None, :]), model, kernel)
     coeff = (eps * model.tied_precision_root ** 2) * kernel.g[winners[0]]
-    neighborhood_pull(model.centroids, coeff, x)
+    neighborhood_pull(model.centroids, coeff, x - model.centroids)
     enforce_constraints(model)
 
 
@@ -438,10 +442,6 @@ class TestTiedTerms:
     equal the step as written before, bit for bit."""
 
     EPS = 0.05
-
-    @pytest.fixture(autouse=True)
-    def no_record(self, monkeypatch):
-        monkeypatch.setattr(trainer_mod, "_settled", None)
 
     def make(self, rng, regime="smoothed", K=25, D=64, init_dsq=5.0):
         cfg = basic_config(regime, K=K, T=1000, tied_spherical=True,
@@ -491,6 +491,17 @@ class TestTiedTerms:
             seen.append(state.model.precision_roots[0, 0])
         assert math.sqrt(3.0) < seen[0] < seen[1] == seen[-1]
         assert hits == [False] * 3 + [True] * 5
+
+    def test_second_run_in_the_same_process(self):
+        # Nothing outside a run's state records a settled value, so a second
+        # run of the same config keeps and uses terms on the same steps.
+        runs = []
+        for _ in range(2):
+            cfg, data, state, kernel = self.make(np.random.default_rng(5), init_dsq=3.0)
+            hits = [self.step(state, cfg, kernel, x) for x in data.samples[:8]]
+            runs.append((hits, state.model))
+        assert runs[0][0] == runs[1][0] == [False] * 3 + [True] * 5
+        assert_same_bits(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
     def test_one_ulp_nudge_in_place(self, rng, direction):
