@@ -69,7 +69,11 @@ def bmu(x, view: SomView) -> int:
     """Best-matching unit: argmin of the kernel-convolved squared distance,
     lowest index on ties.  Identity kernel gives the classic nearest
     prototype."""
-    x = mc.as_vector(x, view.model)
+    return _bmu(mc.as_vector(x, view.model), view)
+
+
+def _bmu(x: np.ndarray, view: SomView) -> int:
+    """The best-matching unit of an already checked vector."""
     conv = _convolved_sq_distances(x[None, :], view)
     return int(np.argmin(conv[0]))
 
@@ -80,7 +84,7 @@ def som_update(view: SomView, x, epsilon: float):
     if not 0 <= epsilon < math.inf:
         raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
-    winner = bmu(x, view)
+    winner = _bmu(x, view)
     coeff = epsilon * view.kernel.g[winner]
     neighborhood_pull(view.prototypes, coeff, x - view.prototypes)
     return view

@@ -30,6 +30,9 @@ KERNEL_REBUILD_TOL = 1e-4
 
 PROBE_SIZE = 200
 
+# Cap on the minibatch indices that ``run`` draws in one rng call.
+DRAW_BLOCK = 2 ** 16
+
 
 @dataclass
 class TrainConfig:
@@ -184,7 +187,7 @@ def _moment_gradients(X: np.ndarray, W: np.ndarray, model: MixtureModel):
     diff = X[:, None, :] - model.centroids[None, :, :]  # N x K x D
     gmu = np.einsum("nk,ki,nki->ki", W, d * d, diff) / N
     gd = np.einsum("nk,nki->ki", W, 1.0 / d - d * diff * diff) / N
-    gpi = _safe_ratio(W.mean(axis=0), model.weights)
+    gpi = _safe_ratio(np.add.reduce(W, axis=0) / N, model.weights)  # W.mean
     return gmu, gd, gpi
 
 
@@ -198,7 +201,7 @@ def grad_exact(batch: DataSet, model: MixtureModel):
 def _winner_rows(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel):
     """Per-sample argmax row of the smoothed scores plus its kernel coupling."""
     scores = mc.smoothed_log_joints(batch, model, kernel)
-    winners = np.argmax(scores, axis=1)  # ties: lowest index
+    winners = scores.argmax(axis=1)  # ties: lowest index
     return winners, kernel.g[winners]  # N, N x K
 
 
@@ -233,7 +236,8 @@ def enforce_constraints(model: MixtureModel) -> MixtureModel:
     keep weights at exactly 1/K, untied ones renormalize weights onto the
     (floored) simplex."""
     d = model.precision_roots
-    np.clip(d, D_MIN, D_MAX, out=d)
+    np.maximum(d, D_MIN, out=d)  # bitwise np.clip, NaN kept, without its wrapper
+    np.minimum(d, D_MAX, out=d)
     if model.tied_spherical:
         d[...] = d.mean()
         model.weights[...] = 1.0 / model.n_components
@@ -344,7 +348,7 @@ def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKer
     x = batch.samples[0]
     diff = x - model.centroids
     scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
-    winner = np.argmax(scores, axis=1)[0]  # ties: lowest index
+    winner = scores.argmax(axis=1)[0]  # ties: lowest index
     coeff = (eps * model.tied_precision_root ** 2) * g[winner]
     neighborhood_pull(model.centroids, coeff, diff)
     if not hit:
@@ -386,10 +390,7 @@ def detect_collapse(
         return "single_component"
     if np.count_nonzero(w > 1.0 / (thresholds.sparse_weight_factor * K)) < math.ceil(K / 4):
         return "sparse"
-    mu = model.centroids
-    spread = np.max(
-        np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=2)
-    )
+    spread = _max_pairwise_distance(model.centroids)
     if spread < thresholds.degenerate_spread * data_stats.scale:
         if probe is None:
             return "degenerate"
@@ -397,6 +398,18 @@ def detect_collapse(
         if np.max(np.abs(gamma - 1.0 / K)) < thresholds.degenerate_resp:
             return "degenerate"
     return "healthy"
+
+
+def _max_pairwise_distance(mu: np.ndarray) -> np.float64:
+    """Largest Euclidean distance between two rows of mu, row by row over
+    the pairs j >= k: bitwise the max of the K x K broadcast
+    ``np.linalg.norm`` matrix, without its K x K x D temporary.  Each sum of
+    squares runs over the same contiguous last axis, (a - b)^2 == (b - a)^2,
+    the correctly rounded sqrt is monotone, so the root of the largest sum
+    is the largest root, and keeping the diagonal keeps its NaN for a row
+    holding inf."""
+    return np.sqrt(np.max([np.add.reduce(np.square(mu[k:] - mu[k]), axis=1).max()
+                           for k in range(mu.shape[0])]))
 
 
 def _probe_subset(data: DataSet) -> DataSet:
@@ -432,6 +445,8 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
 
     Deterministic under a fixed seed; a run resumed from a checkpoint (model,
     iteration, rng state) continues exactly where the original left off.
+    The minibatch indices come from ``_batch_indices``, which draws them in
+    blocks and leaves the rng stream of one draw per step.
     """
     mc._require_finite(data.samples)
     state = make_state(config, data, resume)
@@ -439,19 +454,37 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
         if config.loss_regime != "exact":
             _regime_kernel(state, config, _sigma(config, 0))
         _log_row(state, config)
-    N = data.count
-    perm = None
-    for t in range(state.t, config.total_iters):
-        if config.shuffle == "epoch":
-            start = (t * config.batch_size) % N
-            if perm is None or start == 0:
-                perm = state.rng.permutation(N)
-            idx = perm.take(range(start, start + config.batch_size), mode="wrap")
-        else:
-            idx = state.rng.integers(0, N, size=config.batch_size)
+    for idx in _batch_indices(config, state.rng, data.count, state.t):
         batch = mc._trusted_dataset(data.samples[idx], {"batch": True})
         sgd_step(state, batch, config)
     return state
+
+
+def _batch_indices(config: TrainConfig, rng: np.random.Generator, N: int, t0: int):
+    """The row indices of the minibatches of steps t0 .. total_iters - 1.
+
+    Sampling with replacement draws the indices of up to ``DRAW_BLOCK // B``
+    steps in one ``rng.integers(0, N, size=(n, B))`` call.  numpy draws
+    bounded integers one after another from a bit generator whose buffered
+    32-bit half lives in its state, so a block holds the values that n
+    calls of size B would give and leaves the same state; the last block
+    ends at ``total_iters``, so a finished run's (checkpointed) rng state is
+    that of one call per step.  A run that aborts with ``NumericsError``
+    leaves its rng up to one block further along, which nothing observes:
+    no state is returned and no checkpoint is written.
+    """
+    T, B = config.total_iters, config.batch_size
+    if config.shuffle == "epoch":
+        perm = None
+        for t in range(t0, T):
+            start = (t * B) % N
+            if perm is None or start == 0:
+                perm = rng.permutation(N)
+            yield perm.take(range(start, start + B), mode="wrap")
+        return
+    steps = max(1, DRAW_BLOCK // B)
+    for t in range(t0, T, steps):
+        yield from rng.integers(0, N, size=(min(steps, T - t), B))
 
 
 def train(config: TrainConfig, data: DataSet, resume: dict | None = None):

@@ -15,12 +15,16 @@ smoothed batch-3 run equals the untied one.  The tied batch-3 and batch-4
 runs re-tie the shared precision root on every step; their digests were
 recorded while a module-level record still let the re-tie skip a settled
 array.
+The end state of each run's bit generator, which a checkpoint saves, and one
+run with ``shuffle = "epoch"`` are pinned too; both were recorded while the
+run drew its minibatch indices with one rng call per step.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
 round differently, and then the digests have to be recorded again from an
 unchanged commit on that build.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -80,6 +84,29 @@ GOLDEN = {
         "f8e5210f51fc0172e0918f1a2f759dd7763e05e1e120cf7e56020ebfa30cd3fa",
     "smoothed_tied_k25_d64":
         "0e4410a7b36523f30271a860ec45908c796d249ff768f9268f56f4f1edaf5074",
+    "smoothed_untied_batch3_epoch":
+        "ff459e743080824405344497ec3ed7e11a643dd2e4e9fad3cbc841dada5bb39f",
+}
+
+# The end state of the run's bit generator, which a checkpoint saves: it
+# depends only on the seed, the batch size and the number of steps.
+GOLDEN_RNG = {
+    "exact_batch4_trained":
+        "389a39f84c0377ed0e5d67b969d412d8e4b59317c461e31e90a571a034c14137",
+    "exact_tied_batch4":
+        "389a39f84c0377ed0e5d67b969d412d8e4b59317c461e31e90a571a034c14137",
+    "max_component_tied_batch1":
+        "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
+    "max_component_untied_batch1":
+        "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
+    "smoothed_tied_batch1":
+        "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
+    "smoothed_tied_batch3":
+        "ac9051527afffdaa9250d9b74886dcf952012f9e9e9336136525013f1e3c7753",
+    "smoothed_untied_batch3":
+        "ac9051527afffdaa9250d9b74886dcf952012f9e9e9336136525013f1e3c7753",
+    "smoothed_untied_batch3_epoch":
+        "7cac77c555cc55b38b45d610e8aade483d05554c0f31ca9baa540f2c29e5b290",
 }
 
 
@@ -97,6 +124,12 @@ def _run(name):
     return train(RUNS[name], four_cluster_data(5))
 
 
+def _rng_digest(rng):
+    """sha256 of the bit generator state, as a checkpoint saves it."""
+    state = json.dumps(rng.bit_generator.state, sort_keys=True)
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_trajectory_digest(name):
     model, history = _run(name)
@@ -104,6 +137,29 @@ def test_trajectory_digest(name):
     digest = _digest([model.weights, model.centroids, model.precision_roots],
                      history)
     assert digest == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_end_rng_state_digest(name):
+    state = run(RUNS[name], four_cluster_data(5))
+    assert state.t == T
+    assert _rng_digest(state.rng) == GOLDEN_RNG[name]
+
+
+def test_epoch_shuffle_digest():
+    # 100 rows in batches of 3: every pass ends inside a batch, so the
+    # index take wraps round the permutation.
+    config = _config("smoothed", 3)
+    config.shuffle = "epoch"
+    data = DataSet(four_cluster_data(5).samples[::10])
+    assert data.count % config.batch_size != 0
+    assert T * config.batch_size > data.count
+    state = run(config, data)
+    model = state.model
+    digest = _digest([model.weights, model.centroids, model.precision_roots],
+                     state.history)
+    assert digest == GOLDEN["smoothed_untied_batch3_epoch"]
+    assert _rng_digest(state.rng) == GOLDEN_RNG["smoothed_untied_batch3_epoch"]
 
 
 def test_tied_k25_high_dim_digest():

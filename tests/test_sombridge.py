@@ -143,6 +143,22 @@ class TestSomUpdate:
             som_update(view, rng.normal(size=3), eps)
         assert np.array_equal(view.prototypes, before)
 
+    def test_one_vector_check_per_update(self, rng, monkeypatch):
+        calls = []
+        as_vector = sombridge.mc.as_vector
+
+        def counting(*args):
+            calls.append(1)
+            return as_vector(*args)
+
+        monkeypatch.setattr(sombridge.mc, "as_vector", counting)
+        view = tied_view(rng)
+        for x in rng.normal(size=(3, 3)):
+            som_update(view, x, 0.1)
+        assert len(calls) == 3
+        bmu(rng.normal(size=3), view)
+        assert len(calls) == 4
+
     def test_equals_sgd_step_after_rate_mapping(self, rng):
         # One update must be bit-identical to a smoothed-regime step on the
         # tied model with learning rate eps/d^2.

@@ -597,6 +597,136 @@ class TestDetectCollapse:
         assert detect_collapse(m, self._stats(data), data) == "healthy"
 
 
+class TestMaxPairwiseDistance:
+    """The row-by-row spread of detect_collapse against the broadcast
+    formula it replaced, bit for bit."""
+
+    @staticmethod
+    def broadcast(mu):
+        return np.max(np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=2))
+
+    @pytest.mark.parametrize("K,D", [(1, 3), (2, 1), (4, 2), (9, 17), (25, 784)])
+    def test_random(self, rng, K, D):
+        for scale in (1e-6, 1.0, 1e6):
+            mu = scale * rng.normal(size=(K, D))
+            got = trainer_mod._max_pairwise_distance(mu)
+            assert got.tobytes() == self.broadcast(mu).tobytes()
+
+    def test_degenerate(self, rng):
+        mu = np.tile(rng.normal(size=3), (5, 1))
+        assert trainer_mod._max_pairwise_distance(mu) == self.broadcast(mu) == 0.0
+
+    def test_k1(self):
+        assert trainer_mod._max_pairwise_distance(np.array([[1.0, -2.0]])) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_gives_nan(self, rng, bad):
+        # inf - inf on the diagonal is NaN in the broadcast formula too.
+        mu = rng.normal(size=(4, 2))
+        mu[2, 1] = bad
+        assert np.isnan(self.broadcast(mu))
+        assert np.isnan(trainer_mod._max_pairwise_distance(mu))
+
+    def test_verdicts_match(self, rng, monkeypatch):
+        data = random_data(rng, 60, 2)
+        stats = DataStats.from_data(data)
+        models = [random_model(rng, 4, 2, tied=True) for _ in range(20)]
+        for m in models[::2]:
+            m.centroids *= 1e-9
+        got = [detect_collapse(m, stats, data) for m in models]
+        monkeypatch.setattr(trainer_mod, "_max_pairwise_distance", self.broadcast)
+        assert got == [detect_collapse(m, stats, data) for m in models]
+        assert {"healthy", "degenerate"} <= set(got)
+
+
+def _one_draw_per_step(config, data):
+    """run's loop with one rng.integers(0, N, size=batch_size) call per
+    step, as before the indices were drawn in blocks."""
+    state = make_state(config, data)
+    trainer_mod._regime_kernel(state, config, trainer_mod._sigma(config, 0))
+    trainer_mod._log_row(state, config)
+    for _ in range(config.total_iters):
+        idx = state.rng.integers(0, data.count, size=config.batch_size)
+        sgd_step(state, DataSet(data.samples[idx]), config)
+    return state
+
+
+class TestBlockDraw:
+    """run draws up to DRAW_BLOCK indices per rng call and must end where a
+    call per step ends: the same model, history and rng state."""
+
+    T = 50
+
+    def config(self, batch_size, T=T):
+        return basic_config(T=T, batch_size=batch_size, diag_every=5,
+                            sigma_schedule=AnnealingSchedule(1.0, 0.1, 5, 40))
+
+    @staticmethod
+    def assert_same_end(a, b):
+        assert a.t == b.t
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        for name in ("weights", "centroids", "precision_roots"):
+            assert getattr(a.model, name).tobytes() == getattr(b.model, name).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_blocks_end_where_one_draw_per_step_ends(self, rng, monkeypatch, batch_size):
+        # 7 indices per draw: blocks of 7 single steps, or of 2 steps of 3.
+        monkeypatch.setattr(trainer_mod, "DRAW_BLOCK", 7)
+        data = random_data(rng, 40, 2)
+        draws = []
+
+        class CountingRng:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def integers(self, low, high, size):
+                draws.append(size)
+                return self.gen.integers(low, high, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        def counting_make_state(*args):
+            state = make_state(*args)
+            state.rng = CountingRng(state.rng)
+            return state
+
+        monkeypatch.setattr(trainer_mod, "make_state", counting_make_state)
+        state = run(self.config(batch_size), data)
+        steps = max(1, 7 // batch_size)
+        assert draws == [(min(steps, self.T - t), batch_size)
+                         for t in range(0, self.T, steps)]
+        ref = _one_draw_per_step(self.config(batch_size), data)
+        self.assert_same_end(state, ref)
+        assert state.history == ref.history
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_resume_mid_block(self, rng, monkeypatch, batch_size):
+        monkeypatch.setattr(trainer_mod, "DRAW_BLOCK", 7)
+        data = random_data(rng, 40, 2)
+        full = run(self.config(batch_size), data)
+        half = run(self.config(batch_size, T=23), data)
+        resumed = run(self.config(batch_size), data, resume={
+            "model": half.model, "t": half.t,
+            "rng_state": half.rng.bit_generator.state,
+        })
+        self.assert_same_end(resumed, full)
+        assert resumed.history == [r for r in full.history if r.t > 23]
+
+    @pytest.mark.parametrize("N", [1, 3, 500, 2 ** 33])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_numpy_draws_bounded_integers_one_after_another(self, N, B):
+        # The property the block draw rests on: one (n, B) draw gives the
+        # values and the end state of n draws of size B.  A numpy build
+        # without it fails here, not only in the golden digests.
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        block = a.integers(0, N, size=(41, B))
+        rows = [b.integers(0, N, size=B) for _ in range(41)]
+        assert np.array_equal(block, rows)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestTrain:
     def test_bitwise_determinism(self):
         data = four_cluster_data(99)
