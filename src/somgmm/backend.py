@@ -20,6 +20,9 @@ in inference.  The last pair is kept with it and reused when both arrays
 have its dtypes and are ``np.array_equal`` to it.  Equal non-NaN floats
 differ at most in the sign of zero, which gives the same log, so a hit is
 bitwise the recomputation; NaN never compares equal and always misses.
+The untied single-sample training step (``trainer._sample_gradients``)
+skips the memo and calls ``_normaliser``: it trains the weights and d on
+every step, so each call would miss and copy both arrays.
 P = d^2 is squared again on every call: it costs a few microseconds, and
 keeping a second K x D array alive raised the peak RSS of large scoring runs
 by 15 MB in some runs (heap layout).
@@ -49,9 +52,17 @@ _EPS = np.finfo(np.float64).eps
 _terms = None
 
 
+def _normaliser(weights, precision_roots):
+    """The K-vector log(pi_k) + sum_i log d_ki - D log(2 pi)/2, computed
+    afresh; -inf for zero weights."""
+    with np.errstate(divide="ignore"):
+        return (np.log(weights) + np.add.reduce(np.log(precision_roots), axis=1)
+                - precision_roots.shape[1] * HALF_LOG_2PI)
+
+
 def _log_normaliser(weights, precision_roots):
-    """The K-vector log(pi_k) + sum_i log d_ki - D log(2 pi)/2; read-only,
-    because calls with equal inputs share it."""
+    """``_normaliser`` behind the one-entry memo; read-only, because calls
+    with equal inputs share it."""
     global _terms
     memo = _terms
     if (memo is not None and memo[0].dtype == weights.dtype
@@ -59,9 +70,7 @@ def _log_normaliser(weights, precision_roots):
             and np.array_equal(memo[0], weights)
             and np.array_equal(memo[1], precision_roots)):
         return memo[2]
-    with np.errstate(divide="ignore"):
-        base = (np.log(weights) + np.sum(np.log(precision_roots), axis=1)
-                - precision_roots.shape[1] * HALF_LOG_2PI)
+    base = _normaliser(weights, precision_roots)
     memo = (weights.copy(), precision_roots.copy(), base)
     for arr in memo:
         arr.setflags(write=False)

@@ -181,6 +181,9 @@ def _moment_gradients(X: np.ndarray, W: np.ndarray, model: MixtureModel):
 
     Returns (gmu, gd, gpi) in the d-parameterization: the precision gradient
     is taken with respect to the precision roots d via P = D*D.
+
+    A single sample never comes here from ``grad_smoothed``: its one-row
+    branch, ``_sample_gradients``, forms the same moments without the N axis.
     """
     N = X.shape[0]
     d = model.precision_roots
@@ -211,9 +214,51 @@ def grad_smoothed(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKerne
 
     With the identity kernel this is exactly the max-component (hard
     assignment) gradient.
+
+    A batch of one row takes ``_sample_gradients``, which has no N axis and
+    is bitwise the N-axis path: the winner's row is the one-row log-joint
+    kernel by direct differences, and with N = 1 each einsum is one product
+    added to 0.0 and divided by 1.  The products keep the einsum's operand
+    order, ``(W * P) * diff`` and ``W * (1/d - d * diff * diff)``; another
+    grouping, such as ``W * (P * diff)``, rounds differently.  Adding 0.0
+    turns the -0.0 that a zero coupling times a negative term gives into
+    the +0.0 of the einsum's (and the weight gradient's) sum.
     """
+    if batch.count == 1:
+        return _sample_gradients(batch, model, kernel)
     _, coupling = _winner_rows(batch, model, kernel)
     return _moment_gradients(batch.samples, coupling, model)
+
+
+def _sample_winner(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel,
+                   base: np.ndarray, psq: np.ndarray):
+    """The winner of a one-row batch x: the kernel and x are checked against
+    the model, ``diff = x - mu`` is computed once, the log-joint row is made
+    from it (normaliser ``base``, precisions ``psq``), smoothed and argmaxed
+    (ties: lowest index).  Returns diff, which the caller's update reuses,
+    and the winner's coupling row g[winner]."""
+    g = mc._kernel_matrix(model, kernel)
+    mc._check_dims(batch, model)
+    diff = batch.samples[0] - model.centroids
+    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
+    return diff, g[scores.argmax(axis=1)[0]]
+
+
+def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel):
+    """``grad_smoothed`` of a one-row batch; see ``grad_smoothed`` for why
+    it is bitwise ``_moment_gradients`` of the winner's row."""
+    d, weights = model.precision_roots, model.weights
+    psq = d ** 2
+    diff, coupling = _sample_winner(batch, model, kernel,
+                                    backend._normaliser(weights, d), psq)
+    W = coupling[:, None]
+    gmu = (W * psq) * diff
+    gmu += 0.0
+    gd = W * (1.0 / d - d * diff * diff)
+    gd += 0.0
+    gpi = _safe_ratio(coupling, weights)
+    gpi += 0.0
+    return gmu, gd, gpi
 
 
 def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -333,8 +378,6 @@ def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKer
     at some v before the re-tie and still holds v after it.
     """
     model = state.model
-    g = mc._kernel_matrix(model, kernel)
-    mc._check_dims(batch, model)
     terms = state.tied_terms
     hit = terms is not None and terms.hold_for(model)
     d = model.precision_roots
@@ -345,11 +388,8 @@ def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKer
         uniform = (d == v).all()
         base = backend._log_normaliser(model.weights, d)
         psq = d ** 2
-    x = batch.samples[0]
-    diff = x - model.centroids
-    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
-    winner = scores.argmax(axis=1)[0]  # ties: lowest index
-    coeff = (eps * model.tied_precision_root ** 2) * g[winner]
+    diff, coupling = _sample_winner(batch, model, kernel, base, psq)
+    coeff = (eps * model.tied_precision_root ** 2) * coupling
     neighborhood_pull(model.centroids, coeff, diff)
     if not hit:
         enforce_constraints(model)

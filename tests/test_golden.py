@@ -18,6 +18,11 @@ array.
 The end state of each run's bit generator, which a checkpoint saves, and one
 run with ``shuffle = "epoch"`` are pinned too; both were recorded while the
 run drew its minibatch indices with one rng call per step.
+The two untied batch-1 runs with trained weights and precisions cover the
+one-row branch of ``grad_smoothed``; their digests were recorded before that
+branch existed, while every batch went through the N-axis winner rows and
+einsum moments.  Both runs end in a single-component collapse, so they also
+pin the weight floor and the precision clamp on that path.
 They were recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
 round differently, and then the digests have to be recorded again from an
 unchanged commit on that build.
@@ -56,7 +61,9 @@ def _config(regime, batch_size, tied=False, trained=False, components=4):
 RUNS = {
     "exact_batch4_trained": _config("exact", 4, trained=True),
     "max_component_untied_batch1": _config("max_component", 1),
+    "max_component_untied_batch1_trained": _config("max_component", 1, trained=True),
     "max_component_tied_batch1": _config("max_component", 1, tied=True),
+    "smoothed_untied_batch1_trained": _config("smoothed", 1, trained=True),
     "smoothed_untied_batch3": _config("smoothed", 3),
     "smoothed_tied_batch1": _config("smoothed", 1, tied=True),
     "smoothed_tied_batch3": _config("smoothed", 3, tied=True),
@@ -70,6 +77,10 @@ GOLDEN = {
         "842186d36a13aeafa3538f8adb476d5b24f6a9b3251aee0063a4c455a25f751d",
     "max_component_tied_batch1":
         "842186d36a13aeafa3538f8adb476d5b24f6a9b3251aee0063a4c455a25f751d",
+    "max_component_untied_batch1_trained":
+        "4d170fe5b440f4a5ebc6bcbcdfeb112bb26e7bf4f333ea84080bcd0fb29178b5",
+    "smoothed_untied_batch1_trained":
+        "408d9797057513c30ebfdafe554941739541c6c897f09fba9d70e4c927829056",
     "smoothed_untied_batch3":
         "c27ddfb22d5838daf2cef2eca182a83e8f7f825dad319079907ca861618fa53e",
     "smoothed_tied_batch1":
@@ -98,6 +109,10 @@ GOLDEN_RNG = {
     "max_component_tied_batch1":
         "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
     "max_component_untied_batch1":
+        "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
+    "max_component_untied_batch1_trained":
+        "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
+    "smoothed_untied_batch1_trained":
         "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",
     "smoothed_tied_batch1":
         "4ec7c574d3033e1f1003c0f084ceeec752416654dfd80287664da9842a6c2992",

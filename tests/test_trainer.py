@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from conftest import (
     annealed_benchmark_config,
     four_cluster_data,
     numeric_grad,
+    plain_benchmark_config,
     random_data,
     random_model,
 )
+import somgmm.backend as backend_mod
 import somgmm.trainer as trainer_mod
 from somgmm.exceptions import DataError, NumericsError, UsageError
 from somgmm.model import (
@@ -100,30 +103,104 @@ class TestGradExact:
         assert np.allclose(gpi, numeric_grad(loss, m.weights), rtol=1e-4, atol=1e-7)
 
 
+def n_axis_gradients(batch, model, kernel):
+    """grad_smoothed as every batch computed it before the one-row branch:
+    the winners' kernel rows from the N x K smoothed log-joints, then the
+    einsum moments over the N x K x D differences."""
+    _, W = trainer_mod._winner_rows(batch, model, kernel)
+    X = batch.samples
+    N = X.shape[0]
+    d = model.precision_roots
+    diff = X[:, None, :] - model.centroids[None, :, :]
+    gmu = np.einsum("nk,ki,nki->ki", W, d * d, diff) / N
+    gd = np.einsum("nk,nki->ki", W, 1.0 / d - d * diff * diff) / N
+    gpi = trainer_mod._safe_ratio(np.add.reduce(W, axis=0) / N, model.weights)
+    return gmu, gd, gpi
+
+
 class TestGradSmoothed:
     def test_identity_kernel_is_hard_assignment(self, rng):
+        # A batch of 5 takes the N-axis path, a batch of 1 the one-row branch.
+        for n in (5, 1):
+            m = random_model(rng, 4, 2)
+            batch = random_data(rng, n, 2)
+            ident = NeighborhoodKernel(np.eye(4), 0.0)
+            gmu, gd, gpi = grad_smoothed(batch, m, ident)
+            # Oracle: explicit per-sample winner, Eq.5-style terms with a hard
+            # indicator in place of the responsibilities.
+            egmu = np.zeros_like(gmu)
+            egd = np.zeros_like(gd)
+            egpi = np.zeros_like(gpi)
+            for x in batch.samples:
+                terms = [math.log(m.weights[k]) + component_log_density(x, m, k)
+                         for k in range(4)]
+                k = int(np.argmax(terms))
+                d = m.precision_roots[k]
+                diff = x - m.centroids[k]
+                egmu[k] += d * d * diff
+                egd[k] += 1.0 / d - d * diff * diff
+                egpi[k] += 1.0 / m.weights[k]
+            assert np.allclose(gmu, egmu / n, rtol=1e-10)
+            assert np.allclose(gd, egd / n, rtol=1e-10)
+            assert np.allclose(gpi, egpi / n, rtol=1e-10)
+
+    CASES = 80  # per kind: 400 random one-row cases
+
+    def one_row_case(self, rng, kind):
+        K, D = int(rng.integers(1, 10)), int(rng.integers(1, 17))
+        if kind == "annealed":
+            # Far nodes of a 5 x 5 map at sigma < 0.07 get exact zeros.
+            K = 25
+            kernel = build_kernel(GridTopology("2d", K), rng.uniform(0.03, 0.07))
+            assert (kernel.g == 0).any()
+        elif kind == "tied":
+            kernel = build_kernel(GridTopology("1d", K), rng.uniform(0.2, 2.0))
+        elif kind == "signed_zero_kernel":
+            # A caller's kernel may hold -0.0; the N-axis sum turns the weight
+            # gradient's -0.0 / pi into +0.0.
+            g = np.eye(K)
+            g[g == 0] = -0.0
+            kernel = NeighborhoodKernel(g, 0.0)
+        else:
+            kernel = NeighborhoodKernel(np.eye(K), 0.0)
+        m = random_model(rng, K, D, tied=kind == "tied")
+        if kind == "zero_weight":
+            # A -inf joint, and a weight gradient of 0 from _safe_ratio.
+            m.weights[rng.integers(K)] = 0.0
+        return m, kernel, random_data(rng, 1, D)
+
+    @pytest.mark.parametrize("kind", ["identity", "annealed", "zero_weight", "tied",
+                                      "signed_zero_kernel"])
+    def test_one_row_branch_is_bitwise_the_n_axis_path(self, rng, kind):
+        negative_zeros = 0
+        for _ in range(self.CASES):
+            m, kernel, batch = self.one_row_case(rng, kind)
+            got = grad_smoothed(batch, m, kernel)
+            for a, b in zip(got, n_axis_gradients(batch, m, kernel)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            # Zero couplings times negative differences round to -0.0 before
+            # the sum; the branch must give the sum's +0.0.
+            _, coupling = trainer_mod._winner_rows(batch, m, kernel)
+            products = (coupling.T * m.precision_roots ** 2) * (
+                batch.samples - m.centroids)
+            negative_zeros += int(np.signbit(products[products == 0]).sum())
+            assert not np.signbit(got[0][products == 0]).any()
+        if kind in ("identity", "annealed", "zero_weight"):
+            assert negative_zeros > 0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrong_kernel_size_raises(self, rng, n):
         m = random_model(rng, 4, 2)
-        batch = random_data(rng, 5, 2)
-        ident = NeighborhoodKernel(np.eye(4), 0.0)
-        gmu, gd, gpi = grad_smoothed(batch, m, ident)
-        # Oracle: explicit per-sample winner, Eq.5-style terms with a hard
-        # indicator in place of the responsibilities.
-        egmu = np.zeros_like(gmu)
-        egd = np.zeros_like(gd)
-        egpi = np.zeros_like(gpi)
-        for x in batch.samples:
-            terms = [math.log(m.weights[k]) + component_log_density(x, m, k)
-                     for k in range(4)]
-            k = int(np.argmax(terms))
-            d = m.precision_roots[k]
-            diff = x - m.centroids[k]
-            egmu[k] += d * d * diff
-            egd[k] += 1.0 / d - d * diff * diff
-            egpi[k] += 1.0 / m.weights[k]
-        n = batch.count
-        assert np.allclose(gmu, egmu / n, rtol=1e-10)
-        assert np.allclose(gd, egd / n, rtol=1e-10)
-        assert np.allclose(gpi, egpi / n, rtol=1e-10)
+        with pytest.raises(UsageError, match="kernel size"):
+            grad_smoothed(random_data(rng, n, 2), m, NeighborhoodKernel(np.eye(5), 0.0))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_wrong_sample_dimension_raises(self, rng, n, dim):
+        m = random_model(rng, 4, 2)
+        with pytest.raises(UsageError, match="dimension"):
+            grad_smoothed(random_data(rng, n, dim), m, NeighborhoodKernel(np.eye(4), 0.0))
 
     def test_tied_model_update_direction(self, rng):
         m = random_model(rng, 4, 3, tied=True)
@@ -775,6 +852,34 @@ class TestTrain:
         state = run(cfg, four_cluster_data(2))
         assert state.tied_terms is not None
         assert counts == {"sgd_step": 300, "neighborhood_pull": 300}
+
+    def test_untied_batch1_run_takes_the_one_row_gradient(self, monkeypatch):
+        # The benchmark's traced plain run expects T grad_smoothed calls and
+        # no neighborhood_pull; the one-row branch uses neither the N-axis
+        # moments nor the log-joint kernel, which only the history rows call.
+        counts = {"grad_smoothed": 0, "neighborhood_pull": 0, "_moment_gradients": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(trainer_mod, name), _name=name, **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(trainer_mod, name, counting)
+        callers = []
+
+        def counting_log_joints(*args, _fn=backend_mod.log_joints):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append("_log_row" in names)
+            return _fn(*args)
+
+        monkeypatch.setattr(backend_mod, "log_joints", counting_log_joints)
+        cfg = plain_benchmark_config(T=300)
+        cfg.seed = 2
+        run(cfg, four_cluster_data(2))
+        assert counts == {"grad_smoothed": 300, "neighborhood_pull": 0,
+                          "_moment_gradients": 0}
+        assert callers and all(callers)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_set_raises_data_error(self, rng, bad):
