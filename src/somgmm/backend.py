@@ -15,8 +15,8 @@ Guard: the expansion's rounding error is about ``eps * (S + M_k)`` with
 ``GUARD_RTOL`` of max(1, |value|) are evaluated again as single rows.
 
 Memo: ``log(pi_k) + sum_i log d_ki - D log(2 pi)/2`` depends only on the
-weights and the precision roots, which change rarely in a tied run and never
-in inference.  The last pair is kept with it and reused when both arrays
+weights and the precision roots, which neither a tied run nor inference
+changes.  The last pair is kept with it and reused when both arrays
 have its dtypes and are ``np.array_equal`` to it.  Equal non-NaN floats
 differ at most in the sign of zero, which gives the same log, so a hit is
 bitwise the recomputation; NaN never compares equal and always misses.

@@ -105,48 +105,16 @@ class DataStats:
         return cls(data.samples.mean(axis=0), data.samples.var(axis=0))
 
 
-@dataclass(frozen=True)
-class TiedTerms:
-    """Precision terms of a tied model whose shared root has settled.
-
-    Made after a re-tie that found d uniform at ``v`` and wrote back v:
-    averaging K*D copies of a value can move it by an ulp, but the mean of a
-    uniform array depends only on v and the layout (shape, strides, dtype),
-    so any array of ``layout`` that is uniform at v is a fixed point of the
-    re-tie.  For a model whose d has that layout and is uniform at v and
-    whose weights equal ``weights``, ``psq`` is bitwise ``d ** 2``, ``base``
-    bitwise ``backend._log_normaliser(weights, d)``, and the re-tie leaves d
-    as it is.  The arrays are read-only.
-    """
-
-    v: np.float64
-    layout: tuple
-    weights: np.ndarray
-    psq: np.ndarray
-    base: np.ndarray
-
-    @classmethod
-    def of(cls, model: MixtureModel, v: np.float64) -> "TiedTerms":
-        """The terms of a just re-tied model whose d is uniform at v."""
-        d = model.precision_roots
-        weights = model.weights.copy()
-        psq = d ** 2
-        for arr in (weights, psq):
-            arr.setflags(write=False)
-        return cls(v, (d.shape, d.strides, d.dtype), weights, psq,
-                   backend._log_normaliser(weights, d))
-
-    def hold_for(self, model: MixtureModel) -> bool:
-        """Whether the terms are ``model``'s: one read of its d."""
-        d, w = model.precision_roots, model.weights
-        return ((d.shape, d.strides, d.dtype) == self.layout
-                and w.dtype == self.weights.dtype
-                and np.array_equal(w, self.weights)
-                and bool((d == self.v).all()))
-
-
 @dataclass
 class TrainState:
+    """A run in progress.  A tied model's d and weights are fixed for the
+    run: ``make_state`` validates the starting model, gives it read-only
+    copies of both arrays and keeps ``tied_terms = (d, weights, psq, base,
+    p)`` with ``psq = d ** 2``, the log-joint normaliser ``base`` and the
+    scalar ``p = d^2`` of the pull.  A tied step uses them while the model
+    holds those same read-only arrays; another model, or arrays made
+    writeable again, are validated and get fresh terms first."""
+
     model: MixtureModel
     t: int
     rng: np.random.Generator
@@ -155,7 +123,7 @@ class TrainState:
     kernel: NeighborhoodKernel | None = None
     probe: DataSet | None = None
     stats: DataStats | None = None
-    tied_terms: TiedTerms | None = None  # kept by the tied single-sample step
+    tied_terms: tuple | None = None
 
 
 def init_model(config: TrainConfig, rng: np.random.Generator, dim: int) -> MixtureModel:
@@ -277,16 +245,14 @@ def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, diff: np.ndarray
 
 
 def enforce_constraints(model: MixtureModel) -> MixtureModel:
-    """Clamp precision roots; tied models re-tie the shared d to its mean and
-    keep weights at exactly 1/K, untied ones renormalize weights onto the
-    (floored) simplex."""
+    """Clamp an untied model's precision roots and renormalize its weights
+    onto the (floored) simplex.  A tied model is left as it is: its d and
+    weights are set once per run (``make_state``)."""
+    if model.tied_spherical:
+        return model
     d = model.precision_roots
     np.maximum(d, D_MIN, out=d)  # bitwise np.clip, NaN kept, without its wrapper
     np.minimum(d, D_MAX, out=d)
-    if model.tied_spherical:
-        d[...] = d.mean()
-        model.weights[...] = 1.0 / model.n_components
-        return model
     w = model.weights
     np.maximum(w, WEIGHT_FLOOR, out=w)
     w /= w.sum()
@@ -342,6 +308,7 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     t = state.t
     eps = epsilon_at(config.eps_schedule, t)
     sigma = _sigma(config, t)
+    terms = _tied_terms(state) if model.tied_spherical else None
 
     if config.loss_regime == "exact":
         gmu, gd, gpi = grad_exact(batch, model)
@@ -349,8 +316,8 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
         enforce_constraints(model)
     else:
         kernel = _regime_kernel(state, config, sigma)
-        if model.tied_spherical and batch.count == 1:
-            _tied_sample_step(state, batch, kernel, eps)
+        if terms is not None and batch.count == 1:
+            _tied_sample_step(model, terms, batch, kernel, eps)
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
             _apply(model, config, eps, gmu, gd, gpi)
@@ -364,36 +331,38 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     return state
 
 
-def _tied_sample_step(state: TrainState, batch: DataSet, kernel: NeighborhoodKernel,
-                      eps: float):
-    """Single-sample tied update followed by the re-tie, grouped so that it
-    is bit-identical to the prototype-map rule under the eps/d^2 rate mapping.
+def _tied_terms(state: TrainState) -> tuple:
+    """The terms (d, weights, psq, base, p) of the state's tied model, made
+    afresh when its d or weights are not the read-only arrays they were made
+    from: the model is validated and given read-only copies of both, and
+    psq, base and p are computed as ``backend.log_joints`` and the pull
+    compute them."""
+    terms, model = state.tied_terms, state.model
+    if (terms is None or terms[0] is not model.precision_roots
+            or terms[1] is not model.weights
+            or terms[0].flags.writeable or terms[1].flags.writeable):
+        model.validate()
+        d = model.precision_roots = model.precision_roots.copy()
+        weights = model.weights = model.weights.copy()
+        terms = (d, weights, d ** 2, backend._normaliser(weights, d))
+        for arr in terms:
+            arr.setflags(write=False)
+        terms = state.tied_terms = terms + (model.tied_precision_root ** 2,)
+    return terms
+
+
+def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
+                      kernel: NeighborhoodKernel, eps: float):
+    """Single-sample tied update, grouped so that it is bit-identical to the
+    prototype-map rule under the eps/d^2 rate mapping.
 
     x - mu is computed once and serves both the winner's log-joint row and
-    the pull.  When ``state.tied_terms`` hold for the model, checking them is
-    the step's one read of d; their psq and base are used and the re-tie is
-    skipped: it would write back d and the weights, which equal the kept
-    copy of 1/K.  Otherwise the terms are computed from the model,
-    enforce_constraints re-ties it, and new terms are kept if d was uniform
-    at some v before the re-tie and still holds v after it.
+    the pull; ``psq``, ``base`` and ``p`` are the run's terms, so the step
+    never reads d or the weights.
     """
-    model = state.model
-    terms = state.tied_terms
-    hit = terms is not None and terms.hold_for(model)
-    d = model.precision_roots
-    if hit:
-        base, psq = terms.base, terms.psq
-    else:
-        v = d.flat[0]
-        uniform = (d == v).all()
-        base = backend._log_normaliser(model.weights, d)
-        psq = d ** 2
+    _, _, psq, base, p = terms
     diff, coupling = _sample_winner(batch, model, kernel, base, psq)
-    coeff = (eps * model.tied_precision_root ** 2) * coupling
-    neighborhood_pull(model.centroids, coeff, diff)
-    if not hit:
-        enforce_constraints(model)
-        state.tied_terms = TiedTerms.of(model, v) if uniform and d.flat[0] == v else None
+    neighborhood_pull(model.centroids, (eps * p) * coupling, diff)
 
 
 def _apply(model, config, eps, gmu, gd, gpi):
@@ -467,8 +436,14 @@ def make_state(config: TrainConfig, data: DataSet, resume: dict | None = None) -
     rng = np.random.default_rng(config.seed)
     if resume is not None:
         rng.bit_generator.state = resume["rng_state"]
-        model = resume["model"].copy()
+        model = resume["model"].copy().validate()
         t = resume["t"]
+        if model.tied_spherical != config.tied_spherical:
+            raise UsageError(f"starting model has tied_spherical = {model.tied_spherical}, "
+                             f"the config {config.tied_spherical}")
+        if model.n_components != config.n_components:
+            raise UsageError(f"starting model has {model.n_components} components, "
+                             f"the config {config.n_components}")
     else:
         model = init_model(config, rng, data.dim)
         t = 0
@@ -477,6 +452,8 @@ def make_state(config: TrainConfig, data: DataSet, resume: dict | None = None) -
     state.probe = _probe_subset(data)
     if resume is None and config.init_mode == "data_mean":
         model.centroids[...] = state.stats.mean
+    if model.tied_spherical:
+        _tied_terms(state)
     return state
 
 

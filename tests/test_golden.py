@@ -2,8 +2,11 @@
 
 Each digest covers the final model arrays and every history row, so a change
 meant to preserve behaviour must leave all of them unchanged, bit for bit.
-A K=25, D=64 tied run covers the settling of the shared precision root and
-a neighbourhood annealed until its off-diagonal couplings are exact zeros.
+A K=25, D=64 tied run covers a shared precision root of sqrt(3), which
+stays exactly sqrt(3) for the whole run, and a neighbourhood annealed until
+its off-diagonal couplings are exact zeros; its digest was recorded again
+when d came to be set once per run, because averaging d on every step had
+moved sqrt(3) by an ulp, twice, at 25 x 64.
 One more digest covers the per-row output of ``somgmm cluster`` and
 ``somgmm score --reference`` on a trained model.
 The tied max_component batch-1 run covers the identity-kernel branch of the
@@ -12,9 +15,9 @@ settled precision terms on the training state.  It equals the untied
 max_component digest: with d = 1 and frozen weights, the tied pull and the
 untied gradient step round the same products; for the same reason the tied
 smoothed batch-3 run equals the untied one.  The tied batch-3 and batch-4
-runs re-tie the shared precision root on every step; their digests were
-recorded while a module-level record still let the re-tie skip a settled
-array.
+runs were recorded while every such step re-averaged the shared precision
+root; they pin that a tied minibatch or ``exact`` step changes only the
+centroids.
 The end state of each run's bit generator, which a checkpoint saves, and one
 run with ``shuffle = "epoch"`` are pinned too; both were recorded while the
 run drew its minibatch indices with one rng call per step.
@@ -94,7 +97,7 @@ GOLDEN = {
     "inference":
         "f8e5210f51fc0172e0918f1a2f759dd7763e05e1e120cf7e56020ebfa30cd3fa",
     "smoothed_tied_k25_d64":
-        "0e4410a7b36523f30271a860ec45908c796d249ff768f9268f56f4f1edaf5074",
+        "6a70a4b1196cd63fae2fdbcb36bc7bd9a2e3baadd3433cfdd67afe8144b8701b",
     "smoothed_untied_batch3_epoch":
         "ff459e743080824405344497ec3ed7e11a643dd2e4e9fad3cbc841dada5bb39f",
 }
@@ -178,8 +181,8 @@ def test_epoch_shuffle_digest():
 
 
 def test_tied_k25_high_dim_digest():
-    # sqrt(3) tiled over 25 x 64 averages to a value one ulp away, twice,
-    # before the average is a fixed point; sigma = 0.01 leaves only the
+    # sqrt(3) tiled over 25 x 64 averages to a value one ulp away, so a
+    # per-step average of d would move it; sigma = 0.01 leaves only the
     # diagonal of the kernel nonzero.
     config = TrainConfig(
         "smoothed", 25, T,
@@ -192,7 +195,8 @@ def test_tied_k25_high_dim_digest():
     data = DataSet(centres[rng.integers(0, 6, 600)] + rng.standard_normal((600, 64)))
     state = run(config, data)
     model = state.model
-    assert model.tied_precision_root != math.sqrt(3.0)
+    assert np.all(model.precision_roots == math.sqrt(3.0))
+    assert np.all(model.weights == 1.0 / 25)
     assert np.array_equal(state.kernel.g, np.eye(25))
     digest = _digest([model.weights, model.centroids, model.precision_roots],
                      state.history)

@@ -273,21 +273,15 @@ class TestEnforceConstraints:
         enforce_constraints(m)
         assert m.precision_roots[0, 0] == 1e3
 
-    def test_tied_retie(self):
+    def test_tied_model_left_as_is(self):
+        # A tied model's d and weights are set once per run, by make_state.
         m = MixtureModel([0.5, 0.5], [[0.0], [1.0]], [[2.0], [2.0]],
                          tied_spherical=True)
         m.weights = np.array([0.6, 0.4])
+        m.precision_roots = np.array([[1e9], [2.0]])
+        want = m.copy()
         enforce_constraints(m)
-        assert np.all(m.weights == 0.5)
-
-
-def retie_as_written_before_the_record(model):
-    """The tied branch of enforce_constraints as it was written before it
-    kept a record of the settled value."""
-    np.clip(model.precision_roots, D_MIN, D_MAX, out=model.precision_roots)
-    model.precision_roots[...] = model.precision_roots.mean()
-    model.weights[...] = 1.0 / model.n_components
-    return model
+        assert_same_bits(m, want)
 
 
 def tied_model(d, K=25, D=64):
@@ -301,110 +295,111 @@ def assert_same_bits(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+def assert_refused(model, match, regime="smoothed", batch_size=1):
+    """model is refused as the starting model of a tied run and as a model
+    swapped into a running one, before a step changes anything."""
+    cfg = basic_config(regime, K=model.n_components, T=10, grid="1d",
+                       tied_spherical=True, batch_size=batch_size)
+    rng = np.random.default_rng(3)
+    data = random_data(rng, 10, model.dim)
+    with pytest.raises(UsageError, match=match):
+        make_state(cfg, data, resume={"model": model, "t": 0,
+                                      "rng_state": rng.bit_generator.state})
+    state = make_state(cfg, data)
+    state.model = model
+    before = model.copy()
+    with pytest.raises(UsageError, match=match):
+        sgd_step(state, DataSet(data.samples[:batch_size]), cfg)
+    assert state.t == 0
+    assert_same_bits(model, before)
+
+
 class TestSettledRetie:
-    """Every tied enforce_constraints call equals the full clip, mean and
-    assign; the training step alone records where the re-tie settled."""
-
-    def check(self, model):
-        """One call, compared bitwise with the full re-tie on a copy."""
-        want = retie_as_written_before_the_record(model.copy())
-        enforce_constraints(model)
-        assert_same_bits(model, want)
-
-    def settle(self, model, calls=4):
-        for _ in range(calls):
-            model.weights[0] = 0.5  # weights are reset on every call
-            self.check(model)
-        before = model.precision_roots.copy()
-        self.check(model)
-        assert model.precision_roots.tobytes() == before.tobytes()
+    """The inputs that the per-step re-tie of d used to average, clip or let
+    settle.  A tied run no longer re-ties: it refuses a model that breaks the
+    tied invariants before training on it, and leaves a valid model's d
+    exactly as make_state set it."""
 
     def test_non_uniform(self, rng):
         m = tied_model(1.0)
         m.precision_roots[...] = rng.uniform(0.5, 2.0, m.precision_roots.shape)
-        for _ in range(4):
-            self.check(m)
+        for regime, batch_size in (("smoothed", 1), ("smoothed", 3), ("exact", 4)):
+            assert_refused(m, "one shared precision root", regime, batch_size)
 
     def test_non_uniform_with_mean_at_first_entry(self):
-        # d averages to d[0, 0] = v, but 5 x 5 copies of v do not average to v.
+        # d averages to d[0, 0] = v: the re-tie used to accept it silently.
         v = float.fromhex("0x1.5d58f88c4dcafp+1")
         m = tied_model(v, K=5, D=5)
         m.precision_roots[2, 1] += 0.29258146994545403
         m.precision_roots[3, 4] -= 0.29258146994545403
-        self.check(m)
-        assert m.precision_roots[0, 0] == v
-        fresh = tied_model(v, K=5, D=5)
-        self.check(fresh)
-        assert fresh.precision_roots[0, 0] != v
+        assert m.precision_roots.mean() == v
+        assert_refused(m, "one shared precision root")
 
-    def test_uniform_ulp_drift_then_settles(self, rng):
-        # sqrt(3) over 25 x 64 averages one ulp up, twice, then stays;
-        # sqrt(8.551) over 5 x 5 one ulp down, twice.  The first step that
-        # keeps terms is the first whose re-tie wrote back its value, so the
-        # step after it is the first to use them.
-        for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
-            cfg = basic_config("max_component", K=K, T=8, grid="1d",
-                               tied_spherical=True, init_dsq=init_dsq)
-            data = random_data(rng, 8, D)
-            state = make_state(cfg, data)
-            seen, hits = [state.model.precision_roots[0, 0]], []
-            for x in data.samples:
-                before = state.tied_terms
-                sgd_step(state, DataSet(x[None, :]), cfg)
-                hits.append(before is not None and state.tied_terms is before)
-                seen.append(state.model.precision_roots[0, 0])
-                want = retie_as_written_before_the_record(tied_model(seen[-2], K, D))
-                assert want.precision_roots[0, 0] == seen[-1]
-            assert seen[0] != seen[1] != seen[2] == seen[-1]
-            assert hits == [False] * 3 + [True] * 5
+    def test_uniform_never_drifts(self, rng):
+        # The mean of sqrt(3) over 25 x 64, and of sqrt(8.551) over 5 x 5, is
+        # one ulp away: averaging d on every step moved it on the first steps.
+        for regime in ("smoothed", "max_component"):
+            for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
+                cfg, data, state, kernel = tied_state(rng, regime, K, D, init_dsq)
+                d, weights = state.model.precision_roots, state.model.weights
+                assert d.mean() != math.sqrt(init_dsq)
+                assert all(tied_step(state, cfg, kernel, x) for x in data.samples[:8])
+                assert state.model.precision_roots is d
+                assert state.model.weights is weights
+                assert np.all(d == math.sqrt(init_dsq))
+                assert np.all(weights == 1.0 / K)
 
     @pytest.mark.parametrize("v", [0.5 * D_MIN, 2.0 * D_MAX])
     def test_uniform_out_of_bounds(self, v):
-        m = tied_model(1.0)
-        self.settle(m)
-        m.precision_roots[...] = v
-        for _ in range(3):
-            self.check(m)
-        assert D_MIN <= m.precision_roots[0, 0] <= D_MAX
+        assert_refused(tied_model(v), "precision roots must lie")
 
     def test_nan(self):
         m = tied_model(1.0)
-        self.settle(m)
         m.precision_roots[3, 5] = np.nan
-        self.check(m)
-        assert np.all(np.isnan(m.precision_roots))
+        assert_refused(m, "finite")
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
-    def test_one_element_written_in_place(self, direction):
-        m = tied_model(math.sqrt(3.0))
-        self.settle(m)
-        m.precision_roots[7, 11] = np.nextafter(m.precision_roots[7, 11], direction)
-        for _ in range(3):
-            self.check(m)
+    def test_one_element_written_in_place(self, rng, direction):
+        cfg, data, state, kernel = tied_state(rng, init_dsq=3.0)
+        d = state.model.precision_roots
+        with pytest.raises(ValueError, match="read-only"):
+            d[7, 11] = np.nextafter(d[7, 11], direction)
+        # Made writeable and written, d is checked again before the next step.
+        d.setflags(write=True)
+        d[7, 11] = np.nextafter(d[7, 11], direction)
+        before = state.model.copy()
+        with pytest.raises(UsageError, match="one shared precision root"):
+            sgd_step(state, DataSet(data.samples[:1]), cfg)
+        assert_same_bits(state.model, before)
 
     def test_two_shapes_alternating(self):
-        # b holds a's settled value, which 5 x 5 entries do not average to.
-        a = tied_model(math.sqrt(3.0))
-        self.settle(a)
-        v = a.precision_roots[0, 0]
-        b = tied_model(v, K=5, D=5)
-        for m in (b, a, b, a, a, b, b, a):
-            self.check(m)
-        assert b.precision_roots[0, 0] != v
-        c = tied_model(math.sqrt(7.0), K=4, D=2)
-        for m in (a, c, b, c, a, a, c, b):
-            self.check(m)
+        # Each run keeps its terms on its own state: three runs stepped in
+        # turn end bitwise where each ends alone.
+        def states():
+            return [tied_state(np.random.default_rng(K), "smoothed", K, D, init_dsq)
+                    for K, D, init_dsq in ((25, 64, 3.0), (9, 5, 8.551), (4, 2, 7.0))]
 
-    def test_strided_view(self):
-        # Same shape and value as a settled array, different layout.
-        a = tied_model(math.sqrt(3.0))
-        self.settle(a)
-        b, want = tied_model(1.0), tied_model(1.0)
-        b.precision_roots = np.full((25, 128), a.precision_roots[0, 0])[:, ::2]
-        want.precision_roots = b.precision_roots.base.copy()[:, ::2]
-        enforce_constraints(b)
-        retie_as_written_before_the_record(want)
-        assert_same_bits(b, want)
+        alone, turns = states(), states()
+        for cfg, data, state, kernel in alone:
+            for x in data.samples:
+                tied_step(state, cfg, kernel, x)
+        for i in range(len(turns[0][1].samples)):
+            for cfg, data, state, kernel in turns:
+                tied_step(state, cfg, kernel, data.samples[i])
+        for a, b in zip(alone, turns):
+            assert_same_bits(a[2].model, b[2].model)
+
+    def test_strided_view(self, rng):
+        # A strided d swapped in is tied to a read-only copy of its own, so
+        # writes through the view's base do not reach the run.
+        cfg, data, state, kernel = tied_state(rng)
+        base = np.full((25, 128), math.sqrt(3.0))
+        state.model.precision_roots = base[:, ::2]
+        assert not tied_step(state, cfg, kernel, data.samples[0])
+        assert state.model.precision_roots.base is None
+        base[...] = 1.0
+        assert all(tied_step(state, cfg, kernel, x) for x in data.samples[1:6])
+        assert np.all(state.model.precision_roots == math.sqrt(3.0))
 
 
 class TestNeighborhoodPull:
@@ -492,14 +487,30 @@ class TestSgdStep:
             sgd_step(state, batch, cfg)
 
 
-def tied_step_as_written_before_the_terms(model, kernel, eps, x):
-    """The tied single-sample step and re-tie as they were before sgd_step
-    kept the settled terms: winner row through the log-joint kernel, a pull
-    from a fresh difference, the full enforce_constraints."""
+EPS = 0.05
+
+
+def tied_state(rng, regime="smoothed", K=25, D=64, init_dsq=5.0):
+    """A tied run's state from make_state, without history rows, and the
+    kernel that its steps use."""
+    cfg = basic_config(regime, K=K, T=1000, grid="1d", tied_spherical=True,
+                       init_dsq=init_dsq, eps_schedule=flat_schedule(EPS))
+    data = random_data(rng, 40, D)
+    state = make_state(cfg, data)
+    state.probe = None
+    if regime == "smoothed":
+        kernel = build_kernel(state.topology, 0.8)
+    else:
+        kernel = NeighborhoodKernel(np.eye(K), 0.0)
+    return cfg, data, state, kernel
+
+
+def tied_step_reference(model, kernel, eps, x):
+    """The tied single-sample step from the model's own d: winner row
+    through the log-joint kernel, then a pull from a fresh difference."""
     winners, _ = trainer_mod._winner_rows(DataSet(x[None, :]), model, kernel)
     coeff = (eps * model.tied_precision_root ** 2) * kernel.g[winners[0]]
     neighborhood_pull(model.centroids, coeff, x - model.centroids)
-    enforce_constraints(model)
 
 
 def clone(model):
@@ -513,121 +524,123 @@ def clone(model):
     return out
 
 
+def tied_step(state, cfg, kernel, x):
+    """One sgd_step, compared bitwise with the reference step on a clone;
+    returns whether the step used the terms it found on the state."""
+    want = clone(state.model)
+    before = state.tied_terms
+    sgd_step(state, DataSet(x[None, :]), cfg)
+    tied_step_reference(want, kernel, EPS, x)
+    assert_same_bits(state.model, want)
+    return state.tied_terms is before
+
+
+def assert_steps_like_a_fresh_state(state, cfg, data, samples):
+    """state, whose model was swapped in, steps bitwise like the state that
+    make_state builds from that model."""
+    fresh = make_state(cfg, data, resume={
+        "model": state.model, "t": state.t,
+        "rng_state": state.rng.bit_generator.state,
+    })
+    fresh.probe = None
+    for x in samples:
+        for s in (state, fresh):
+            sgd_step(s, DataSet(x[None, :]), cfg)
+        assert_same_bits(state.model, fresh.model)
+    assert state.tied_terms[4] == fresh.tied_terms[4]
+    for a, b in zip(state.tied_terms[:4], fresh.tied_terms):
+        assert a.tobytes() == b.tobytes()
+
+
 class TestTiedTerms:
-    """The tied single-sample branch of sgd_step keeps the settled precision
-    terms on the state and skips the re-tie while they hold; every step must
-    equal the step as written before, bit for bit."""
-
-    EPS = 0.05
-
-    def make(self, rng, regime="smoothed", K=25, D=64, init_dsq=5.0):
-        cfg = basic_config(regime, K=K, T=1000, tied_spherical=True,
-                           init_dsq=init_dsq, eps_schedule=flat_schedule(self.EPS))
-        data = random_data(rng, 40, D)
-        state = make_state(cfg, data)
-        state.probe = None  # no history rows: only the step is compared
-        if regime == "smoothed":
-            kernel = build_kernel(state.topology, 0.8)
-        else:
-            kernel = NeighborhoodKernel(np.eye(K), 0.0)
-        return cfg, data, state, kernel
-
-    def step(self, state, cfg, kernel, x):
-        """One sgd_step, compared bitwise with the old chain on a clone;
-        returns whether the step used the kept terms."""
-        want = clone(state.model)
-        before = state.tied_terms
-        sgd_step(state, DataSet(x[None, :]), cfg)
-        tied_step_as_written_before_the_terms(want, kernel, self.EPS, x)
-        assert_same_bits(state.model, want)
-        return before is not None and state.tied_terms is before
-
-    def settle(self, state, cfg, kernel, data, steps=4):
-        for i in range(steps):
-            self.step(state, cfg, kernel, data.samples[i])
-        assert state.tied_terms is not None
-        assert self.step(state, cfg, kernel, data.samples[steps])
+    """make_state keeps a tied run's terms on its state.  The tied
+    single-sample step uses them while the model holds the read-only d and
+    weights they were made from, ties any other model afresh, and equals the
+    reference step bit for bit."""
 
     @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
     def test_settled_steps_use_the_terms(self, rng, regime):
-        cfg, data, state, kernel = self.make(rng, regime)
-        hits = [self.step(state, cfg, kernel, x) for x in data.samples]
-        assert hits[0] is False and all(hits[5:])
-        assert not state.tied_terms.psq.flags.writeable
-        # A settled step writes neither d nor the weights.
-        state.model.precision_roots.setflags(write=False)
-        state.model.weights.setflags(write=False)
-        assert self.step(state, cfg, kernel, data.samples[0])
-
-    def test_ulp_drift_before_settling(self, rng):
-        # sqrt(3) tiled over 25 x 64 averages one ulp up, twice, then stays.
-        cfg, data, state, kernel = self.make(rng, init_dsq=3.0)
-        seen, hits = [], []
-        for x in data.samples[:8]:
-            hits.append(self.step(state, cfg, kernel, x))
-            seen.append(state.model.precision_roots[0, 0])
-        assert math.sqrt(3.0) < seen[0] < seen[1] == seen[-1]
-        assert hits == [False] * 3 + [True] * 5
+        cfg, data, state, kernel = tied_state(rng, regime)
+        terms = state.tied_terms
+        assert terms[0] is state.model.precision_roots
+        assert terms[1] is state.model.weights
+        assert all(tied_step(state, cfg, kernel, x) for x in data.samples)
+        assert not any(arr.flags.writeable for arr in terms[:4])
+        assert terms[4] == math.sqrt(5.0) ** 2
 
     def test_second_run_in_the_same_process(self):
-        # Nothing outside a run's state records a settled value, so a second
-        # run of the same config keeps and uses terms on the same steps.
-        runs = []
-        for _ in range(2):
-            cfg, data, state, kernel = self.make(np.random.default_rng(5), init_dsq=3.0)
-            hits = [self.step(state, cfg, kernel, x) for x in data.samples[:8]]
-            runs.append((hits, state.model))
-        assert runs[0][0] == runs[1][0] == [False] * 3 + [True] * 5
-        assert_same_bits(runs[0][1], runs[1][1])
+        # Nothing outside a run's state keeps terms, so a second run of the
+        # same config is bitwise the first, history and rng state included.
+        cfg = basic_config(K=25, T=60, tied_spherical=True, init_dsq=3.0, diag_every=10,
+                           sigma_schedule=AnnealingSchedule(2.0, 0.1, 10, 50))
+        data = random_data(np.random.default_rng(5), 40, 64)
+        a, b = run(cfg, data), run(cfg, data)
+        assert_same_bits(a.model, b.model)
+        assert a.history == b.history
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.tied_terms[2] is not b.tied_terms[2]
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
     def test_one_ulp_nudge_in_place(self, rng, direction):
-        cfg, data, state, kernel = self.make(rng)
-        self.settle(state, cfg, kernel, data)
+        cfg, data, state, kernel = tied_state(rng)
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
         d = state.model.precision_roots
-        d[7, 11] = np.nextafter(d[7, 11], direction)
-        assert not self.step(state, cfg, kernel, data.samples[10])
-        for x in data.samples[11:16]:
-            self.step(state, cfg, kernel, x)
+        before = d.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            d[7, 11] = np.nextafter(d[7, 11], direction)
+        assert d.tobytes() == before
+        assert all(tied_step(state, cfg, kernel, x) for x in data.samples[5:10])
 
     def test_weights_edited_in_place(self, rng):
-        cfg, data, state, kernel = self.make(rng, "max_component")
-        self.settle(state, cfg, kernel, data)
-        state.model.weights[:] = np.linspace(1.0, 2.0, 25) / np.linspace(1.0, 2.0, 25).sum()
-        assert not self.step(state, cfg, kernel, data.samples[10])
+        cfg, data, state, kernel = tied_state(rng, "max_component")
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
+        w = np.linspace(1.0, 2.0, 25)
+        with pytest.raises(ValueError, match="read-only"):
+            state.model.weights[:] = w / w.sum()
         assert np.all(state.model.weights == 1.0 / 25)
-        assert self.step(state, cfg, kernel, data.samples[11])
+        assert tied_step(state, cfg, kernel, data.samples[11])
 
     def test_strided_precision_roots(self, rng):
-        cfg, data, state, kernel = self.make(rng)
-        self.settle(state, cfg, kernel, data)
+        cfg, data, state, kernel = tied_state(rng)
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
         v = state.model.precision_roots[0, 0]
         state.model.precision_roots = np.full((25, 128), v)[:, ::2]
-        assert not self.step(state, cfg, kernel, data.samples[10])
-        for x in data.samples[11:16]:
-            self.step(state, cfg, kernel, x)
-        assert state.model.precision_roots.strides == (1024, 16)
+        assert_steps_like_a_fresh_state(state, cfg, data, data.samples[10:16])
+        d = state.model.precision_roots
+        assert state.tied_terms[0] is d
+        assert d.flags.c_contiguous and not d.flags.writeable
 
     def test_model_swapped_for_a_copy(self, rng):
-        cfg, data, state, kernel = self.make(rng)
-        self.settle(state, cfg, kernel, data)
+        cfg, data, state, kernel = tied_state(rng)
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
         state.model = state.model.copy()
-        assert self.step(state, cfg, kernel, data.samples[10])
+        assert not tied_step(state, cfg, kernel, data.samples[10])
+        assert_steps_like_a_fresh_state(state, cfg, data, data.samples[11:16])
 
     def test_model_swapped_for_another(self, rng):
-        cfg, data, state, kernel = self.make(rng)
-        self.settle(state, cfg, kernel, data)
+        # The other model's own d is used from its first step on, never the
+        # terms kept for the model it replaced.
+        cfg, data, state, kernel = tied_state(rng)
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
         other = state.model.copy()
         other.precision_roots[...] = 1.5
         state.model = other
-        assert not self.step(state, cfg, kernel, data.samples[10])
+        assert not tied_step(state, cfg, kernel, data.samples[10])
+        assert np.all(state.tied_terms[2] == 2.25) and state.tied_terms[4] == 2.25
+        assert_steps_like_a_fresh_state(state, cfg, data, data.samples[11:16])
 
     @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
     @pytest.mark.parametrize("settled", [False, True])
     def test_wrong_kernel_size_raises(self, rng, regime, settled):
-        cfg, data, state, kernel = self.make(rng, regime)
+        cfg, data, state, kernel = tied_state(rng, regime)
         if settled:
-            self.settle(state, cfg, kernel, data)
+            for x in data.samples[:5]:
+                tied_step(state, cfg, kernel, x)
         state.kernel = NeighborhoodKernel(np.eye(24), 0.8 if regime == "smoothed" else 0.0)
         with pytest.raises(UsageError, match="kernel size"):
             sgd_step(state, DataSet(data.samples[:1]), cfg)
@@ -635,10 +648,45 @@ class TestTiedTerms:
     @pytest.mark.parametrize("dim", [1, 65])
     def test_wrong_sample_dimension_raises(self, rng, dim):
         # A one-dimensional sample would broadcast against the centroids.
-        cfg, data, state, kernel = self.make(rng)
-        self.settle(state, cfg, kernel, data)
+        cfg, data, state, kernel = tied_state(rng)
+        for x in data.samples[:5]:
+            tied_step(state, cfg, kernel, x)
         with pytest.raises(UsageError, match="dimension"):
             sgd_step(state, DataSet(np.ones((1, dim))), cfg)
+
+
+class TestResumeModel:
+    """make_state refuses a starting model that contradicts the run's
+    config, before the first step."""
+
+    @staticmethod
+    def resume(cfg, model):
+        data = random_data(np.random.default_rng(1), 10, model.dim)
+        return make_state(cfg, data, resume={
+            "model": model, "t": 0,
+            "rng_state": np.random.default_rng(2).bit_generator.state,
+        })
+
+    def test_untied_model_in_a_tied_config(self, rng):
+        with pytest.raises(UsageError, match="tied_spherical = False"):
+            self.resume(basic_config(K=4, tied_spherical=True), random_model(rng, 4, 2))
+        with pytest.raises(UsageError, match="tied_spherical = True"):
+            self.resume(basic_config(K=4), random_model(rng, 4, 2, tied=True))
+
+    def test_k9_model_in_a_k4_exact_config(self, rng):
+        with pytest.raises(UsageError, match="9 components"):
+            self.resume(basic_config("exact", K=4), random_model(rng, 9, 2))
+
+    def test_non_uniform_tied_model(self, rng):
+        cfg = basic_config(K=4, tied_spherical=True)
+        m = random_model(rng, 4, 2, tied=True)
+        m.precision_roots[1, 0] *= 1.5
+        with pytest.raises(UsageError, match="one shared precision root"):
+            self.resume(cfg, m)
+        m = random_model(rng, 4, 2, tied=True)
+        m.weights = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(UsageError, match="uniform weights"):
+            self.resume(cfg, m)
 
 
 class TestDetectCollapse:
@@ -852,6 +900,19 @@ class TestTrain:
         state = run(cfg, four_cluster_data(2))
         assert state.tied_terms is not None
         assert counts == {"sgd_step": 300, "neighborhood_pull": 300}
+
+    @pytest.mark.parametrize("regime,batch_size", [("smoothed", 3), ("exact", 4)])
+    def test_tied_minibatch_runs_never_write_d_or_weights(self, regime, batch_size):
+        # sqrt(3) over 25 x 64 is not its own mean: an average of d on any
+        # step would move it.
+        cfg = basic_config(regime, K=25, T=300, batch_size=batch_size,
+                           tied_spherical=True, init_dsq=3.0, seed=7)
+        data = random_data(np.random.default_rng(7), 200, 64)
+        init = init_model(cfg, np.random.default_rng(cfg.seed), data.dim)
+        model = run(cfg, data).model
+        for name in ("precision_roots", "weights"):
+            assert getattr(model, name).tobytes() == getattr(init, name).tobytes()
+        assert not np.array_equal(model.centroids, init.centroids)
 
     def test_untied_batch1_run_takes_the_one_row_gradient(self, monkeypatch):
         # The benchmark's traced plain run expects T grad_smoothed calls and
