@@ -295,6 +295,20 @@ def assert_same_bits(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+def assert_uniform_d_never_moves(rng, regime, K, D, init_dsq):
+    """A tied run from a uniform d that is one ulp away from its own mean
+    steps bitwise like the reference step, uses the kept terms from its
+    first step, and leaves d and the weights exactly as make_state set them."""
+    cfg, data, state, kernel = tied_state(rng, regime, K, D, init_dsq)
+    d, weights = state.model.precision_roots, state.model.weights
+    assert d.mean() != math.sqrt(init_dsq)
+    assert all(tied_step(state, cfg, kernel, x) for x in data.samples[:8])
+    assert state.model.precision_roots is d
+    assert state.model.weights is weights
+    assert np.all(d == math.sqrt(init_dsq))
+    assert np.all(weights == 1.0 / K)
+
+
 def assert_refused(model, match, regime="smoothed", batch_size=1):
     """model is refused as the starting model of a tied run and as a model
     swapped into a running one, before a step changes anything."""
@@ -335,19 +349,12 @@ class TestSettledRetie:
         assert m.precision_roots.mean() == v
         assert_refused(m, "one shared precision root")
 
-    def test_uniform_never_drifts(self, rng):
-        # The mean of sqrt(3) over 25 x 64, and of sqrt(8.551) over 5 x 5, is
-        # one ulp away: averaging d on every step moved it on the first steps.
-        for regime in ("smoothed", "max_component"):
-            for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
-                cfg, data, state, kernel = tied_state(rng, regime, K, D, init_dsq)
-                d, weights = state.model.precision_roots, state.model.weights
-                assert d.mean() != math.sqrt(init_dsq)
-                assert all(tied_step(state, cfg, kernel, x) for x in data.samples[:8])
-                assert state.model.precision_roots is d
-                assert state.model.weights is weights
-                assert np.all(d == math.sqrt(init_dsq))
-                assert np.all(weights == 1.0 / K)
+    def test_uniform_ulp_drift_then_settles(self, rng):
+        # sqrt(3) over 25 x 64 and sqrt(8.551) over 5 x 5: the per-step
+        # average moved d one ulp on the first steps before it settled.  d is
+        # settled from make_state on, and every step uses the kept terms.
+        for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
+            assert_uniform_d_never_moves(rng, "max_component", K, D, init_dsq)
 
     @pytest.mark.parametrize("v", [0.5 * D_MIN, 2.0 * D_MAX])
     def test_uniform_out_of_bounds(self, v):
@@ -567,6 +574,12 @@ class TestTiedTerms:
         assert all(tied_step(state, cfg, kernel, x) for x in data.samples)
         assert not any(arr.flags.writeable for arr in terms[:4])
         assert terms[4] == math.sqrt(5.0) ** 2
+
+    def test_ulp_drift_before_settling(self, rng):
+        # The smoothed step at the shapes whose d the per-step average used
+        # to move by an ulp: d never moves.
+        for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
+            assert_uniform_d_never_moves(rng, "smoothed", K, D, init_dsq)
 
     def test_second_run_in_the_same_process(self):
         # Nothing outside a run's state keeps terms, so a second run of the
