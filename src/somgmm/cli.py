@@ -160,8 +160,8 @@ def _cmd_score(args):
 def _cmd_cluster(args):
     ckpt = sio.load_checkpoint(args.model)
     data = _load_data(args.data, args.format)
-    for x in data.samples:
-        print(inference.assign_cluster(x, ckpt.model))
+    labels = [inference.assign_cluster(x, ckpt.model) for x in data.samples]
+    sys.stdout.write("".join(f"{k}\n" for k in labels))
     return 0
 
 

@@ -5,17 +5,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as mc
+from . import backend, model as mc
 from .exceptions import UsageError
 from .model import DataSet, MixtureModel
+
+
+def _row_log_joints(x, model: MixtureModel) -> np.ndarray:
+    """The K log-joints of one row, straight from the one-row kernel."""
+    x = mc.as_vector(x, model)
+    return backend.log_joints(model.weights, model.centroids,
+                              model.precision_roots, x[None, :])[0]
 
 
 def outlier_score(x, model: MixtureModel) -> float:
     """Single-sample score max_k [log pi_k + log p_k(x)], in nats; higher
     means more likely inlier."""
-    x = mc.as_vector(x, model)
-    lj = mc.log_joint_matrix(mc._trusted_dataset(x[None, :], {}), model)
-    return float(np.max(lj[0]))
+    return float(_row_log_joints(x, model).max())
 
 
 def batch_scores(data: DataSet, model: MixtureModel) -> np.ndarray:
@@ -26,9 +31,7 @@ def batch_scores(data: DataSet, model: MixtureModel) -> np.ndarray:
 def assign_cluster(x, model: MixtureModel) -> int:
     """Index of the component with the largest joint log-density; lowest
     index on ties."""
-    x = mc.as_vector(x, model)
-    lj = mc.log_joint_matrix(mc._trusted_dataset(x[None, :], {}), model)
-    return int(np.argmax(lj[0]))
+    return int(_row_log_joints(x, model).argmax())
 
 
 @dataclass

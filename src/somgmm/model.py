@@ -126,9 +126,9 @@ def _require_finite(samples):
 
 
 def _trusted_dataset(samples, meta):
-    """A DataSet built without the __post_init__ pass, for rows of an
-    already checked sample matrix: ``samples`` must be a non-empty, finite,
-    C-contiguous float64 matrix."""
+    """A DataSet built without the __post_init__ pass, for samples known to
+    pass its checks: ``samples`` must be a non-empty, finite, C-contiguous
+    float64 matrix."""
     data = object.__new__(DataSet)
     data.samples = samples
     data.meta = meta
@@ -152,7 +152,7 @@ def as_vector(x, model: MixtureModel) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64, order="C")
     if x.shape != (model.dim,):
         raise UsageError(f"expected a vector of dimension {model.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DataError("non-finite input vector")
     return x
 

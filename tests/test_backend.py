@@ -168,6 +168,36 @@ class TestNormaliserMemo:
         assert backend._terms is not memo
         assert_bitwise(got, fresh(w, mu, d, x[:1]))
 
+    @pytest.mark.parametrize("first, then", [(1, 4), (4, 1)])
+    def test_broadcast_equal_model_of_other_size_misses(self, rng, first, then):
+        # One weight and one row of d, repeated: np.equal alone would call
+        # the K=1 and K=4 arrays equal.
+        row = rng.uniform(0.4, 2.5, (1, 5))
+        mus = {K: rng.normal(size=(K, 5)) for K in (1, 4)}
+        x = rng.normal(size=(3, 5))
+
+        def args(K):
+            return np.full(K, 0.25), mus[K], np.repeat(row, K, axis=0), x[:1]
+
+        backend.log_joints(*args(first))
+        memo = backend._terms
+        got = backend.log_joints(*args(then))
+        assert backend._terms is not memo  # a miss
+        assert backend._terms[2].shape == (then,)
+        assert_bitwise(got, fresh(*args(then)))
+
+    def test_signed_zero_swap_in_d_hits(self, rng):
+        w, mu, d, x = _inputs(rng, K=3)
+        d[1, 2] = 0.0
+        want = fresh(w, mu, d, x[:1])
+        memo = backend._terms
+        d[1, 2] = -0.0
+        got = backend.log_joints(w, mu, d, x[:1])
+        assert backend._terms is memo  # a hit
+        assert np.signbit(memo[1][1, 2]) != np.signbit(d[1, 2])
+        assert_bitwise(got, want)
+        assert_bitwise(got, fresh(w, mu, d, x[:1]))
+
     def test_cached_arrays_are_read_only(self, rng):
         w, _, d, _ = _inputs(rng)
         base = backend._log_normaliser(w, d)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import somgmm
 from conftest import four_cluster_data
-from somgmm import cli
+from somgmm import backend, cli, inference, io as sio
 from somgmm.exceptions import NumericsError, UsageError
 from somgmm.io import Checkpoint, load_checkpoint, save_checkpoint, save_csv
 from somgmm.model import DataSet, MixtureModel
@@ -209,6 +209,53 @@ class TestScoreAndCluster:
         assert rc == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
+
+    def test_score_output_matches_per_line_formatting(self, trained, capsys):
+        ref = trained / "ref.csv"
+        save_csv(four_cluster_data(9), ref)
+        queries = np.concatenate([four_cluster_data(3).samples[::50],
+                                  np.full((3, 2), 60.0)])
+        data = trained / "mixed.csv"
+        save_csv(DataSet(queries), data)
+        ckpt = trained / "out" / "model.ckpt"
+        rc = cli.main(["score", "--model", str(ckpt), "--data", str(data),
+                       "--reference", str(ref), "--window", "2"])
+        assert rc == 0
+        report = inference.score_report(
+            sio.load_csv(data), load_checkpoint(ckpt).model, window=2,
+            reference=sio.load_csv(ref), percentile=1.0)
+        want = ""
+        for i in range(report.scores.size):
+            want += (f"{float(report.scores[i])!r},{float(report.window_means[i])!r},"
+                     f"{'outlier' if report.verdicts[i] else 'inlier'}\n")
+        out = capsys.readouterr().out
+        assert out == want
+        assert out.endswith("outlier\n") and "inlier\n" in out
+
+    def test_cluster_calls_the_per_row_kernel_once_per_row(self, trained, capsys,
+                                                           monkeypatch):
+        # The benchmark's traced runs count one assign_cluster call and one
+        # one-row log_joints call per clustered row.
+        calls, rows = [], []
+
+        def counting_assign(*args, _fn=inference.assign_cluster):
+            calls.append(1)
+            return _fn(*args)
+
+        def counting_log_joints(*args, _fn=backend.log_joints):
+            rows.append(args[3].shape[0])
+            return _fn(*args)
+
+        monkeypatch.setattr(inference, "assign_cluster", counting_assign)
+        monkeypatch.setattr(backend, "log_joints", counting_log_joints)
+        data = trained / "cl37.csv"
+        save_csv(DataSet(four_cluster_data(4).samples[:37]), data)
+        rc = cli.main(["cluster", "--model", str(trained / "out" / "model.ckpt"),
+                       "--data", str(data)])
+        assert rc == 0
+        assert len(capsys.readouterr().out.split()) == 37
+        assert len(calls) == 37
+        assert rows == [1] * 37
 
     def test_cluster_prints_component_per_sample(self, trained, capsys):
         data = trained / "cl.csv"

@@ -17,6 +17,7 @@ from somgmm.model import (
     DataSet,
     MixtureModel,
     full_log_likelihood,
+    log_joint_matrix,
     max_component_log_likelihood,
 )
 
@@ -130,6 +131,50 @@ class TestAssignCluster:
         k = assign_cluster(x, m)
         m2 = MixtureModel(m.weights.copy(), m.centroids, m.precision_roots)
         assert assign_cluster(x, m2) == k
+
+
+class TestPerRowPath:
+    """assign_cluster and outlier_score call the one-row kernel directly;
+    they must match the argmax and max of log_joint_matrix on that row."""
+
+    @staticmethod
+    def models(rng):
+        for K, D in [(1, 1), (4, 2), (7, 5), (25, 30)]:
+            yield random_model(rng, K, D)
+            yield random_model(rng, K, D, tied=True)
+            if K > 1:
+                m = random_model(rng, K, D)
+                m.weights[::2] = 0.0  # -inf columns
+                m.weights /= m.weights.sum()
+                yield m
+
+    def test_bitwise_equal_to_log_joint_matrix(self, rng):
+        for m in self.models(rng):
+            X = np.concatenate([random_data(rng, 20, m.dim).samples, m.centroids])
+            for x in X:
+                lj = log_joint_matrix(DataSet(x[None, :]), m)[0]
+                k = assign_cluster(x, m)
+                assert type(k) is int and k == int(np.argmax(lj))
+                score = outlier_score(x, m)
+                assert type(score) is float
+                assert np.float64(score).tobytes() == np.max(lj).tobytes()
+
+    def test_exact_ties_pick_the_lowest_index(self, rng):
+        # Components 1, 3 and 5 are copies, so their log-joints are equal bit
+        # for bit; at their centroid they are the maximum.
+        m = random_model(rng, 6, 3)
+        for k in (3, 5):
+            m.centroids[k] = m.centroids[1]
+            m.precision_roots[k] = m.precision_roots[1]
+        m.weights[[1, 3, 5]] = 0.3
+        m.weights[[0, 2, 4]] = 0.1 / 3
+        m.weights[0] = 0.0
+        m.weights /= m.weights.sum()
+        for x in (m.centroids[1], m.centroids[1] + 1e-3):
+            lj = log_joint_matrix(DataSet(x[None, :]), m)[0]
+            assert lj[1] == lj[3] == lj[5] == lj.max() and lj[0] == -np.inf
+            assert assign_cluster(x, m) == 1
+            assert outlier_score(x, m) == lj[1]
 
 
 class TestSample:

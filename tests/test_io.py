@@ -58,6 +58,41 @@ class TestIdx:
         write_idx(load_idx(src), dst)
         assert dst.read_bytes() == raw
 
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (7,), (1, 1, 1)])
+    def test_samples_are_the_scaled_bytes(self, tmp_path, shape):
+        rng = np.random.default_rng(1)
+        pixels = rng.integers(0, 256, shape).astype(np.uint8)
+        pixels.flat[0], pixels.flat[-1] = 0, 255
+        dims = list(shape)
+        raw = bytes([0, 0, 0x08, len(dims)])
+        raw += b"".join(d.to_bytes(4, "big") for d in dims) + pixels.tobytes()
+        path = tmp_path / "px.idx"
+        path.write_bytes(raw)
+        data = load_idx(path)
+        flat = pixels.reshape(shape[0] if len(shape) > 1 else pixels.size, -1)
+        want = flat.astype(np.float64) / 255.0
+        assert data.samples.dtype == np.float64
+        assert data.samples.flags.c_contiguous
+        assert data.samples.shape == want.shape
+        assert data.samples.tobytes() == want.tobytes()
+        assert data.meta == {"source": str(path), "format": "idx", "idx_dims": dims,
+                             "normalization": "byte/255"}
+
+    # The cases the tests below do not cover; with them every DataError of
+    # load_idx is raised by some test.
+    @pytest.mark.parametrize("raw, match", [
+        (b"\x00\x00\x08", "truncated IDX header"),
+        (bytes([0, 0, 0x08, 3]) + (2).to_bytes(4, "big"), "dimension table"),
+        (bytes([0, 0, 0x08, 2]) + (3).to_bytes(4, "big") + (0).to_bytes(4, "big"),
+         "no data"),
+        (bytes([0, 0, 0x08, 1]) + (0).to_bytes(4, "big"), "no data"),
+    ])
+    def test_short_header_or_empty_row_raises(self, tmp_path, raw, match):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=match):
+            load_idx(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"\x12\x34\x08\x01" + b"\x00" * 8)
