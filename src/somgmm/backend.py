@@ -14,22 +14,34 @@ Guard: the expansion's rounding error is about ``eps * (S + M_k)`` with
 ``S = (X'*X') @ P.T``.  Rows where ``ERROR_FACTOR`` times that exceeds
 ``GUARD_RTOL`` of max(1, |value|) are evaluated again as single rows.
 
-Memo: ``log(pi_k) + sum_i log d_ki - D log(2 pi)/2`` depends only on the
-weights and the precision roots, which neither a tied run nor inference
-changes.  The last pair is kept with it and reused when both arrays
-have its dtypes and shapes and compare equal to it element by element.
-Equal non-NaN floats differ at most in the sign of zero, which gives the
-same log, so a hit is bitwise the recomputation; NaN never compares equal
-and always misses.
+Memo: the normaliser ``log(pi_k) + sum_i log d_ki - D log(2 pi)/2`` and the
+precisions P = d^2 depend only on the weights and the precision roots, which
+neither a tied run nor inference changes.  Both are computed once for the
+last pair seen and kept with it in one entry.  Each array of the pair is
+keyed by what it is:
+
+- An array that is read-only and owns its data is frozen: by convention a
+  read-only array is never changed.  It is keyed by a weak reference, with
+  no copy, and the entry serves it while it is the same object and still
+  read-only, after one identity check.  A read-only view is not frozen,
+  since a write through its base changes it.  ``io.load_checkpoint`` and a
+  tied run's ``trainer.make_state`` give a model frozen weights and d.
+- Any other array is kept as a read-only copy, and the entry serves an
+  array that is not frozen, has its dtype and shape and compares equal to
+  it element by element.  Equal non-NaN floats differ at most in the sign
+  of zero, which gives the same log and the same square, so a hit is
+  bitwise the recomputation; NaN never compares equal and always misses.
+
+A frozen model's arrays are neither copied nor kept alive, so the memo then
+holds one K x D array, P.  Holding a second one, a copy of d next to P, moved
+the ``digits_infer`` benchmark's ``peak_rss_mb`` from 299.5 to 314.3-314.6 MB
+in 2 of 2 runs (heap layout), at that metric's 5% bound.
 The untied single-sample training step (``trainer._sample_gradients``)
-skips the memo and calls ``_normaliser``: it trains the weights and d on
+skips the memo and calls ``_fresh_terms``: it trains the weights and d on
 every step, so each call would miss and copy both arrays.
-P = d^2 is squared again on every call: it costs a few microseconds, and
-keeping a second K x D array alive raised the peak RSS of large scoring runs
-by 15 MB in some runs (heap layout).  Kept in the memo next to d, it moved
-the ``digits_infer`` benchmark's ``peak_rss_mb`` from 299.5 to 314.3-314.6
-MB in 2 of 2 runs, at that metric's 5% bound.
 """
+
+import weakref
 
 import numpy as np
 
@@ -49,34 +61,58 @@ ERROR_FACTOR = 8.0
 _EPS = np.finfo(np.float64).eps
 
 
-# (weights, precision_roots, base) of the last miss; the inputs are copies,
-# so arrays updated in place are compared by value.  Replaced as one tuple, so
-# a concurrent reader sees either the old entry or the new one.
+# (weights_key, d_key, base, psq) of the last miss; a key is a weak reference
+# to a frozen argument or a read-only copy of any other.  Replaced as one
+# tuple, so a concurrent reader sees either the old entry or the new one.
 _terms = None
 
 
-def _normaliser(weights, precision_roots):
-    """The K-vector log(pi_k) + sum_i log d_ki - D log(2 pi)/2, computed
-    afresh; -inf for zero weights."""
+def _fresh_terms(weights, precision_roots):
+    """The kernel terms (base, psq), computed afresh: the K-vector
+    log(pi_k) + sum_i log d_ki - D log(2 pi)/2, -inf for zero weights, and
+    the precisions d^2."""
     with np.errstate(divide="ignore"):
-        return (np.log(weights) + np.add.reduce(np.log(precision_roots), axis=1)
+        base = (np.log(weights) + np.add.reduce(np.log(precision_roots), axis=1)
                 - precision_roots.shape[1] * HALF_LOG_2PI)
+    return base, precision_roots ** 2
 
 
-def _log_normaliser(weights, precision_roots):
-    """``_normaliser`` behind the one-entry memo; read-only, because calls
-    with equal inputs share it."""
+def _kernel_terms(weights, precision_roots):
+    """``_fresh_terms`` behind the one-entry memo; read-only, because calls
+    with the same inputs share them."""
     global _terms
     memo = _terms
-    if (memo is not None and _same(memo[0], weights)
-            and _same(memo[1], precision_roots)):
-        return memo[2]
-    base = _normaliser(weights, precision_roots)
-    memo = (weights.copy(), precision_roots.copy(), base)
-    for arr in memo:
-        arr.setflags(write=False)
-    _terms = memo
-    return base
+    if (memo is None or not _matches(memo[0], weights)
+            or not _matches(memo[1], precision_roots)):
+        base, psq = _fresh_terms(weights, precision_roots)
+        for arr in (base, psq):
+            arr.setflags(write=False)
+        memo = _terms = (_key(weights), _key(precision_roots), base, psq)
+    return memo[2], memo[3]
+
+
+def _frozen(arr):
+    """Whether ``arr`` is read-only and owns its data."""
+    flags = arr.flags
+    return flags.owndata and not flags.writeable
+
+
+def _key(arr):
+    """A weak reference to a frozen ``arr``, else a read-only copy."""
+    if _frozen(arr):
+        return weakref.ref(arr)
+    kept = arr.copy()
+    kept.setflags(write=False)
+    return kept
+
+
+def _matches(key, arr):
+    """Whether the entry keyed by ``key`` serves ``arr``: by identity while a
+    keyed array is still read-only, by value for an array that is not
+    frozen."""
+    if type(key) is weakref.ref:
+        return key() is arr and not arr.flags.writeable
+    return not _frozen(arr) and _same(key, arr)
 
 
 def _same(kept, arr):
@@ -89,8 +125,7 @@ def _same(kept, arr):
 def log_joints(weights, centroids, precision_roots, samples):
     """Return the N x K matrix of log(pi_k) + log p_k(x_n); -inf in the
     columns of zero-weight components."""
-    base = _log_normaliser(weights, precision_roots)
-    psq = precision_roots ** 2
+    base, psq = _kernel_terms(weights, precision_roots)
     if samples.shape[0] == 1:
         return _single_row(base, centroids, psq, samples[0])[None, :]
     r = samples.mean(axis=0)

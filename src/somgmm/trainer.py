@@ -110,10 +110,10 @@ class TrainState:
     """A run in progress.  A tied model's d and weights are fixed for the
     run: ``make_state`` validates the starting model, gives it read-only
     copies of both arrays and keeps ``tied_terms = (d, weights, psq, base,
-    p)`` with ``psq = d ** 2``, the log-joint normaliser ``base`` and the
-    scalar ``p = d^2`` of the pull.  A tied step uses them while the model
-    holds those same read-only arrays; another model, or arrays made
-    writeable again, are validated and get fresh terms first."""
+    p)`` with the kernel's precisions ``psq = d ** 2`` and normaliser
+    ``base`` and the scalar ``p = d^2`` of the pull.  A tied step uses them
+    while the model holds those same read-only arrays; another model, or
+    arrays made writeable again, are validated and get fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -216,9 +216,8 @@ def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodK
     """``grad_smoothed`` of a one-row batch; see ``grad_smoothed`` for why
     it is bitwise ``_moment_gradients`` of the winner's row."""
     d, weights = model.precision_roots, model.weights
-    psq = d ** 2
-    diff, coupling = _sample_winner(batch, model, kernel,
-                                    backend._normaliser(weights, d), psq)
+    base, psq = backend._fresh_terms(weights, d)
+    diff, coupling = _sample_winner(batch, model, kernel, base, psq)
     W = coupling[:, None]
     gmu = (W * psq) * diff
     gmu += 0.0
@@ -334,9 +333,9 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 def _tied_terms(state: TrainState) -> tuple:
     """The terms (d, weights, psq, base, p) of the state's tied model, made
     afresh when its d or weights are not the read-only arrays they were made
-    from: the model is validated and given read-only copies of both, and
-    psq, base and p are computed as ``backend.log_joints`` and the pull
-    compute them."""
+    from: the model is validated and given read-only copies of both, psq and
+    base are the ``backend.log_joints`` terms of those frozen copies, and p
+    is the pull's scalar d^2."""
     terms, model = state.tied_terms, state.model
     if (terms is None or terms[0] is not model.precision_roots
             or terms[1] is not model.weights
@@ -344,10 +343,11 @@ def _tied_terms(state: TrainState) -> tuple:
         model.validate()
         d = model.precision_roots = model.precision_roots.copy()
         weights = model.weights = model.weights.copy()
-        terms = (d, weights, d ** 2, backend._normaliser(weights, d))
-        for arr in terms:
-            arr.setflags(write=False)
-        terms = state.tied_terms = terms + (model.tied_precision_root ** 2,)
+        d.setflags(write=False)
+        weights.setflags(write=False)
+        base, psq = backend._kernel_terms(weights, d)
+        terms = state.tied_terms = (d, weights, psq, base,
+                                    model.tied_precision_root ** 2)
     return terms
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -200,8 +201,100 @@ class TestNormaliserMemo:
 
     def test_cached_arrays_are_read_only(self, rng):
         w, _, d, _ = _inputs(rng)
-        base = backend._log_normaliser(w, d)
-        assert backend._terms[2] is base
+        base, psq = backend._kernel_terms(w, d)
+        assert backend._terms[2] is base and backend._terms[3] is psq
         for arr in backend._terms:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def frozen(arr):
+    """A read-only copy that owns its data, as load_checkpoint gives."""
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
+
+
+class TestFrozenKeys:
+    """Read-only arrays that own their data are keyed by identity; any other
+    array by a kept copy and its values."""
+
+    def test_frozen_arrays_are_keyed_by_identity(self, rng):
+        w, mu, d, x = _inputs(rng)
+        w, d = frozen(w), frozen(d)
+        backend.log_joints(w, mu, d, x[:1])
+        memo = backend._terms
+        assert memo[0]() is w and memo[1]() is d
+        for rows in (x[:1], x):
+            backend.log_joints(w, mu, d, rows)
+            assert backend._terms is memo  # a hit
+
+    @pytest.mark.parametrize("where", ["weights", "precision_roots"])
+    def test_read_only_view_of_a_writeable_base_is_compared_by_value(self, rng, where):
+        w, mu, d, x = _inputs(rng)
+        owner = w if where == "weights" else d
+        view = owner.view()
+        view.setflags(write=False)
+        args = (view, mu, d, x[:1]) if where == "weights" else (w, mu, view, x[:1])
+        before = backend.log_joints(*args)
+        kept = backend._terms[0 if where == "weights" else 1]
+        assert type(kept) is np.ndarray and kept is not view
+        owner[[0, 1]] = owner[[1, 0]]  # a write through the base
+        got = backend.log_joints(*args)
+        assert not np.array_equal(got, before)
+        assert_bitwise(got, fresh(*args))
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_made_writeable_again_misses(self, rng, rows):
+        w, mu, d, x = _inputs(rng)
+        d = frozen(d)
+        backend.log_joints(w, mu, d, x[:rows])
+        memo = backend._terms
+        d.setflags(write=True)
+        backend.log_joints(w, mu, d, x[:rows])
+        assert backend._terms is not memo  # a miss, though d is unchanged
+        d[2, 3] = np.nextafter(d[2, 3], np.inf)
+        assert_bitwise(backend.log_joints(w, mu, d, x[:rows]), fresh(w, mu, d, x[:rows]))
+
+    def test_dead_key_misses(self, rng):
+        w, mu, d, x = _inputs(rng)
+        d = frozen(d)
+        backend.log_joints(w, mu, d, x[:1])
+        key = backend._terms[1]
+        del d
+        assert key() is None
+        d = frozen(rng.uniform(0.4, 2.5, mu.shape))
+        assert_bitwise(backend.log_joints(w, mu, d, x[:1]), fresh(w, mu, d, x[:1]))
+
+    def test_equal_values_of_the_other_kind_miss(self, rng):
+        # A frozen array is served only by its own key, a writeable one only
+        # by a kept copy: either way round the entry is made afresh.
+        w, mu, d, x = _inputs(rng)
+        for first, then in ((d, frozen(d)), (frozen(d), d)):
+            want = fresh(w, mu, then, x[:1])
+            backend.log_joints(w, mu, first, x[:1])
+            memo = backend._terms
+            got = backend.log_joints(w, mu, then, x[:1])
+            assert backend._terms is not memo
+            assert_bitwise(got, want)
+
+    def test_bitwise_the_cleared_memo(self, rng):
+        # Tied, untied and zero-weight models, frozen or not, one row or a
+        # batch: a hit gives the bits of a cleared memo.
+        for K, D in [(1, 1), (4, 2), (7, 5), (25, 30)]:
+            models = [random_model(rng, K, D, tied=True), random_model(rng, K, D)]
+            if K > 1:
+                models.append(random_model(rng, K, D))
+                models[-1].weights[::2] = 0.0  # -inf columns
+                models[-1].weights /= models[-1].weights.sum()
+            x = random_data(rng, 30, D).samples
+            for m in models:
+                for freeze in (False, True):
+                    w, d = m.weights, m.precision_roots
+                    if freeze:
+                        w, d = frozen(w), frozen(d)
+                    for rows in (x[:1], x[7:8], x):
+                        args = (w, m.centroids, d, rows)
+                        want = fresh(*args)
+                        for _ in range(2):
+                            assert_bitwise(backend.log_joints(*args), want)

@@ -1,10 +1,18 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_data, random_model
+from conftest import (
+    annealed_benchmark_config,
+    four_cluster_data,
+    random_data,
+    random_model,
+)
+from somgmm import backend
 from somgmm.exceptions import DataError, UsageError
 from somgmm.inference import (
     assign_cluster,
@@ -13,6 +21,7 @@ from somgmm.inference import (
     sample,
     score_report,
 )
+from somgmm.io import load_checkpoint, save_checkpoint
 from somgmm.model import (
     DataSet,
     MixtureModel,
@@ -20,6 +29,7 @@ from somgmm.model import (
     log_joint_matrix,
     max_component_log_likelihood,
 )
+from somgmm.trainer import run
 
 
 def separated_model():
@@ -175,6 +185,84 @@ class TestPerRowPath:
             assert lj[1] == lj[3] == lj[5] == lj.max() and lj[0] == -np.inf
             assert assign_cluster(x, m) == 1
             assert outlier_score(x, m) == lj[1]
+
+
+class TestFrozenModel:
+    """A loaded checkpoint and a tied run give a model with read-only weights
+    and d; per-row calls on it find the kernel terms by identity."""
+
+    @staticmethod
+    def loaded(tmp_path, rng, tied):
+        from test_io import TestCheckpoint
+        ckpt = TestCheckpoint()._ckpt(rng, tied=tied)
+        save_checkpoint(tmp_path / "m.ckpt", ckpt)
+        return load_checkpoint(tmp_path / "m.ckpt").model
+
+    @staticmethod
+    def tied_run_model():
+        cfg = annealed_benchmark_config(200)
+        cfg.seed = 5
+        state = run(cfg, four_cluster_data(5))
+        return state.model, state
+
+    @staticmethod
+    def assert_per_row_calls_hit(model, rng, monkeypatch, psq=None):
+        calls = []
+        same = backend._same
+        monkeypatch.setattr(backend, "_same", lambda *a: calls.append(a) or same(*a))
+        X = rng.normal(size=(30, model.dim))
+        assign_cluster(X[0], model)
+        kept = backend._terms[3]
+        assert psq is None or kept is psq
+        for x in X:
+            assign_cluster(x, model)
+            outlier_score(x, model)
+            assert backend._terms[3] is kept
+        assert calls == []
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loaded_model_hits_by_identity(self, tmp_path, rng, monkeypatch, tied):
+        backend._terms = None
+        self.assert_per_row_calls_hit(self.loaded(tmp_path, rng, tied), rng, monkeypatch)
+
+    def test_tied_run_model_uses_the_runs_terms(self, rng, monkeypatch):
+        # The run's own psq serves inference after it: one computation of
+        # d^2 for the whole life of the model.
+        model, state = self.tied_run_model()
+        self.assert_per_row_calls_hit(model, rng, monkeypatch, psq=state.tied_terms[2])
+
+    @pytest.mark.parametrize("source", ["loaded", "tied_run"])
+    def test_memo_keeps_no_array_of_a_dropped_model(self, tmp_path, rng, source):
+        if source == "loaded":
+            model = self.loaded(tmp_path, rng, True)
+        else:
+            model, state = self.tied_run_model()
+            del state
+        x = rng.normal(size=model.dim)
+        assign_cluster(x, model)
+        refs = [weakref.ref(a) for a in
+                (model.weights, model.centroids, model.precision_roots)]
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert backend._terms[0]() is None and backend._terms[1]() is None
+
+    def test_bitwise_the_cleared_memo(self, tmp_path, rng):
+        models = [self.loaded(tmp_path, rng, tied) for tied in (False, True)]
+        models.append(self.tied_run_model()[0])
+        w = models[0].weights.copy()
+        w[::2] = 0.0  # -inf columns
+        w /= w.sum()
+        w.setflags(write=False)
+        models.append(MixtureModel(w, models[0].centroids, models[0].precision_roots))
+        for m in models:
+            for x in np.concatenate([rng.normal(size=(10, m.dim)), m.centroids]):
+                k, score = assign_cluster(x, m), outlier_score(x, m)
+                backend._terms = None
+                assert assign_cluster(x, m) == k
+                backend._terms = None
+                again = outlier_score(x, m)
+                assert np.float64(again).tobytes() == np.float64(score).tobytes()
 
 
 class TestSample:

@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import (
+    annealed_benchmark_config,
+    four_cluster_data,
+    plain_benchmark_config,
+    random_model,
+)
 from somgmm.cli import CONFIG_PARSERS, to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
@@ -23,8 +28,9 @@ from somgmm.io import (
     write_idx,
 )
 from somgmm.model import DataSet, MixtureModel
-from somgmm.topology import AnnealingSchedule, GridTopology
-from somgmm.trainer import HistoryRow, TrainConfig
+from somgmm.sombridge import SomView, som_update
+from somgmm.topology import AnnealingSchedule, GridTopology, build_kernel
+from somgmm.trainer import HistoryRow, TrainConfig, run
 
 
 def make_idx_bytes(images: np.ndarray) -> bytes:
@@ -189,6 +195,63 @@ class TestCheckpoint:
         assert back.eps_schedule == ckpt.eps_schedule
         assert back.rng_state == ckpt.rng_state
         assert back.provenance == ckpt.provenance
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loaded_weights_and_d_are_frozen(self, tmp_path, rng, tied):
+        # Read-only arrays that own their data: the kernel keys its terms by
+        # their identity.  The centroids stay writeable.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._ckpt(rng, tied=tied))
+        m = load_checkpoint(path).model
+        for arr in (m.weights, m.precision_roots):
+            assert arr.flags.owndata and not arr.flags.writeable
+        assert m.centroids.flags.writeable
+        before = m.precision_roots.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            m.precision_roots[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights[0] = 0.5
+        assert m.precision_roots.tobytes() == before
+
+    def test_som_update_on_a_loaded_model(self, tmp_path, rng):
+        ckpt = self._ckpt(rng, tied=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path)
+        kernel = build_kernel(back.topology, 0.8)
+        want = ckpt.model.copy()
+        for x in rng.normal(scale=1.5, size=(5, 3)):
+            som_update(SomView(back.model, back.topology, kernel), x, 0.1)
+            som_update(SomView(want, ckpt.topology, kernel), x, 0.1)
+        assert back.model.centroids.tobytes() == want.centroids.tobytes()
+        assert not np.array_equal(want.centroids, ckpt.model.centroids)
+
+    @pytest.mark.parametrize("make_config", [annealed_benchmark_config,
+                                             plain_benchmark_config])
+    def test_resume_from_a_loaded_checkpoint_is_bitwise(self, tmp_path, make_config):
+        # The tied run and the untied run that trains weights and d both
+        # continue from the frozen arrays exactly where they stopped.
+        def config(T):
+            cfg = make_config(200)
+            cfg.seed, cfg.total_iters, cfg.diag_every = 23, T, 40
+            return cfg
+
+        data = four_cluster_data(7)
+        full = run(config(200), data)
+        half = run(config(120), data)
+        save_checkpoint(tmp_path / "m.ckpt", Checkpoint(
+            model=half.model, loss_regime=config(120).loss_regime,
+            topology=half.topology, eps_schedule=config(120).eps_schedule,
+            sigma_schedule=config(120).sigma_schedule, iteration=half.t, seed=23,
+            rng_state=half.rng.bit_generator.state))
+        back = load_checkpoint(tmp_path / "m.ckpt")
+        resumed = run(config(200), data, resume={
+            "model": back.model, "t": back.iteration, "rng_state": back.rng_state})
+        assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
+        for name in ("weights", "centroids", "precision_roots"):
+            assert (getattr(resumed.model, name).tobytes()
+                    == getattr(full.model, name).tobytes())
+        assert resumed.history == [r for r in full.history if r.t > 120]
 
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
