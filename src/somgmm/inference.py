@@ -80,6 +80,7 @@ def sample(model: MixtureModel, n: int, rng: np.random.Generator) -> np.ndarray:
     centroid with per-coordinate standard deviation 1/d."""
     if n < 1:
         raise UsageError("sample count must be >= 1")
+    mc._require_size((n, model.dim), "sample")
     K = model.n_components
     if model.tied_spherical:
         ks = rng.integers(0, K, size=n)

@@ -5,6 +5,7 @@ Sign convention: all three likelihood-style quantities are to be *maximized*;
 the trainer negates internally when it reports "descent".
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,14 @@ D_MAX = 1e3
 
 # Weights are floored here after renormalization so log(pi) stays finite.
 WEIGHT_FLOOR = 1e-8
+
+
+def _require_size(shape, what):
+    """Refuse with a UsageError, before anything is allocated, a float64
+    array of this shape that numpy cannot make on any machine: one whose
+    byte count exceeds the range of ``np.intp``."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise UsageError(f"{what} of shape {tuple(shape)} is too large")
 
 
 def _as_matrix(a, name):

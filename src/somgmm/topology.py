@@ -78,6 +78,14 @@ class NeighborhoodKernel:
     def n_components(self):
         return self.g.shape[0]
 
+    @cached_property
+    def is_identity(self):
+        """Whether g is the identity matrix, so that each row couples its own
+        component alone; computed once per kernel, whose g is not changed
+        after it is built."""
+        g = self.g
+        return bool(np.count_nonzero(g) == g.shape[0] and (g.diagonal() == 1.0).all())
+
 
 def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     """Gaussian grid kernel g_kj = exp(-dist2(k,j) / (2 sigma^2)), rows
@@ -88,7 +96,7 @@ def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     if sigma < IDENTITY_SIGMA:
         return NeighborhoodKernel(np.eye(K), sigma)
     g = np.exp(-topology.distance_sq / (2.0 * sigma * sigma))
-    g /= g.sum(axis=1, keepdims=True)
+    g /= np.add.reduce(g, axis=1, keepdims=True)
     return NeighborhoodKernel(g, sigma)
 
 
@@ -126,8 +134,10 @@ class AnnealingSchedule:
             raise UsageError("literal tau convention: (value0 - value_inf) / "
                              "(t_inf - t0) underflows to 0")
 
-    @property
+    @cached_property
     def tau(self):
+        """The decay rate; computed once per schedule (a cached attribute is
+        not a dataclass field, so ``asdict`` and equality ignore it)."""
         if self.convention == "literal":
             return math.log((self.value0 - self.value_inf) / (self.t_inf - self.t0))
         return math.log(self.value0 / self.value_inf) / (self.t_inf - self.t0)

@@ -33,6 +33,13 @@ PROBE_SIZE = 200
 # Cap on the minibatch indices that ``run`` draws in one rng call.
 DRAW_BLOCK = 2 ** 16
 
+# Margin of the tied winner's guard over its rounding bound
+# (``_tied_sample_step``); the measured worst error over the bound is in
+# ``tests/test_trainer.py``.
+TIED_GUARD_FACTOR = 2.0
+_EPS = np.finfo(np.float64).eps
+_TINY = 2.0 ** -1074
+
 
 @dataclass
 class TrainConfig:
@@ -74,6 +81,8 @@ class TrainConfig:
             raise UsageError(f"unknown shuffle mode {self.shuffle!r}")
         if self.loss_regime == "smoothed" and self.sigma_schedule is None:
             raise UsageError("smoothed regime requires a sigma schedule")
+        if self.loss_regime != "exact":
+            mc._require_size((self.n_components,) * 2, "neighbourhood kernel")
         # Constructing the topology validates K against the grid kind.
         self.topology()
         return self
@@ -110,10 +119,12 @@ class TrainState:
     """A run in progress.  A tied model's d and weights are fixed for the
     run: ``make_state`` validates the starting model, gives it read-only
     copies of both arrays and keeps ``tied_terms = (d, weights, psq, base,
-    p)`` with the kernel's precisions ``psq = d ** 2`` and normaliser
-    ``base`` and the scalar ``p = d^2`` of the pull.  A tied step uses them
-    while the model holds those same read-only arrays; another model, or
-    arrays made writeable again, are validated and get fresh terms first."""
+    p, rel, slack, one_row)`` with the kernel's precisions ``psq = d ** 2``
+    and normaliser ``base``, the scalar ``p = d^2`` of the pull, the bound of
+    the winner's guard and whether the one-row pull is exact (see
+    ``_tied_terms``).  A tied step uses them while the model holds those
+    same read-only arrays; another model, or arrays made writeable again,
+    are validated and get fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -130,6 +141,7 @@ def init_model(config: TrainConfig, rng: np.random.Generator, dim: int) -> Mixtu
     """Small random centroids, equiprobable weights, uniform precision."""
     config.validate()
     K = config.n_components
+    mc._require_size((K, dim), "centroid matrix")
     centroids = rng.uniform(-config.centroid_scale, config.centroid_scale, (K, dim))
     weights = np.full(K, 1.0 / K)
     droots = np.full((K, dim), math.sqrt(config.init_dsq))
@@ -137,7 +149,7 @@ def init_model(config: TrainConfig, rng: np.random.Generator, dim: int) -> Mixtu
 
 
 def _safe_ratio(num, den):
-    out = np.zeros_like(num)
+    out = np.zeros(num.shape, num.dtype)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
@@ -198,18 +210,14 @@ def grad_smoothed(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKerne
     return _moment_gradients(batch.samples, coupling, model)
 
 
-def _sample_winner(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel,
-                   base: np.ndarray, psq: np.ndarray):
-    """The winner of a one-row batch x: the kernel and x are checked against
-    the model, ``diff = x - mu`` is computed once, the log-joint row is made
-    from it (normaliser ``base``, precisions ``psq``), smoothed and argmaxed
-    (ties: lowest index).  Returns diff, which the caller's update reuses,
-    and the winner's coupling row g[winner]."""
-    g = mc._kernel_matrix(model, kernel)
-    mc._check_dims(batch, model)
-    diff = batch.samples[0] - model.centroids
+def _sample_winner(g: np.ndarray, diff: np.ndarray, base: np.ndarray, psq: np.ndarray):
+    """The exact winner of one row from its differences ``diff = x - mu``:
+    the log-joint row (normaliser ``base``, precisions ``psq``) is smoothed
+    by the couplings g and argmaxed (ties: lowest index).  The untied
+    single-sample gradient takes every winner from here, and the tied step
+    every winner that its guard does not settle."""
     scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
-    return diff, g[scores.argmax(axis=1)[0]]
+    return scores.argmax(axis=1)[0]
 
 
 def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel):
@@ -217,7 +225,10 @@ def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodK
     it is bitwise ``_moment_gradients`` of the winner's row."""
     d, weights = model.precision_roots, model.weights
     base, psq = backend._fresh_terms(weights, d)
-    diff, coupling = _sample_winner(batch, model, kernel, base, psq)
+    g = mc._kernel_matrix(model, kernel)
+    mc._check_dims(batch, model)
+    diff = batch.samples[0] - model.centroids
+    coupling = g[_sample_winner(g, diff, base, psq)]
     W = coupling[:, None]
     gmu = (W * psq) * diff
     gmu += 0.0
@@ -254,9 +265,9 @@ def enforce_constraints(model: MixtureModel) -> MixtureModel:
     np.minimum(d, D_MAX, out=d)
     w = model.weights
     np.maximum(w, WEIGHT_FLOOR, out=w)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     np.maximum(w, WEIGHT_FLOOR, out=w)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return model
 
 
@@ -331,11 +342,14 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 
 
 def _tied_terms(state: TrainState) -> tuple:
-    """The terms (d, weights, psq, base, p) of the state's tied model, made
-    afresh when its d or weights are not the read-only arrays they were made
-    from: the model is validated and given read-only copies of both, psq and
-    base are the ``backend.log_joints`` terms of those frozen copies, and p
-    is the pull's scalar d^2."""
+    """The terms (d, weights, psq, base, p, rel, slack, one_row) of the
+    state's tied model, made afresh when its d or weights are not the
+    read-only arrays they were made from: the model is validated and given
+    read-only copies of both, psq and base are the ``backend.log_joints``
+    terms of those frozen copies, p is the pull's scalar d^2, rel and slack
+    are the bound of the winner's guard, and one_row says that the
+    centroids held no -0.0 when the terms were made (see
+    ``_tied_sample_step``)."""
     terms, model = state.tied_terms, state.model
     if (terms is None or terms[0] is not model.precision_roots
             or terms[1] is not model.weights
@@ -346,8 +360,16 @@ def _tied_terms(state: TrainState) -> tuple:
         d.setflags(write=False)
         weights.setflags(write=False)
         base, psq = backend._kernel_terms(weights, d)
+        mu = model.centroids
+        K, D = mu.shape
+        P, b = float(psq[0, 0]), abs(float(base[0]))
+        rel = TIED_GUARD_FACTOR * 2.05 * (D + K + 1) * _EPS
+        slack = TIED_GUARD_FACTOR * (4.05 * (K + 1) * _EPS * b / P
+                                     + (D + K + 4) * _TINY * (1.0 + 2.0 / P))
+        one_row = not np.any(np.signbit(mu) & (mu == 0.0))
         terms = state.tied_terms = (d, weights, psq, base,
-                                    model.tied_precision_root ** 2)
+                                    model.tied_precision_root ** 2,
+                                    rel, slack, one_row)
     return terms
 
 
@@ -356,13 +378,84 @@ def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
     """Single-sample tied update, grouped so that it is bit-identical to the
     prototype-map rule under the eps/d^2 rate mapping.
 
-    x - mu is computed once and serves both the winner's log-joint row and
-    the pull; ``psq``, ``base`` and ``p`` are the run's terms, so the step
-    never reads d or the weights.
+    x - mu is computed once and serves both the winner and the pull; ``p``
+    is the run's pull scalar, so the step never reads d or the weights.
+
+    The winner.  A tied model has one normaliser b (every entry of
+    ``base``) and one precision P (every entry of ``psq``), so the smoothed
+    score of row k is
+
+        sum_j g_kj (b - P S_j / 2) = b r_k - (P/2) V_k,
+        S_j = sum_i diff_ji^2,  V_k = sum_j g_kj S_j,  r_k = sum_j g_kj,
+
+    and with r_k = 1 the best score has the least V.  The guard computes
+    ``u = g @ s`` with ``s = einsum(diff, diff)``, one read of diff, and
+    takes the first index of the least entry u1 of u when the runner-up u2
+    clears
+
+        u2 - u1 > rel * u2 + slack,  and  p * sum(s) < 1e300.
+
+    The bound, in units of u, with unit roundoff e = 2^-53 and
+    g_n = n e / (1 - n e) <= 1.01 n e:
+
+    - Fast path: the einsum of D non-negative products is within g_D of S_j,
+      the smoothing product within g_K, so |u_k - V_k| <= g_(D+K) V_k.
+    - Exact path: squares, products by P and the einsum put the precision
+      term within g_(D+2) of P S_j, ``b - 0.5 * t`` rounds by e, and the
+      smoothing product by g_K of sum_j g_kj |lj_j|: each score is within
+      g_(K+1) |b| r_k + (P/2) g_(D+K+2) V_k of b r_k - (P/2) V_k.
+    - Row sums: the identity's are 1; ``build_kernel`` divides each row by
+      its floating sum, so |r_k - 1| <= g_(K+1) and b r_w - b r_k is at most
+      2 g_(K+1) |b|.
+    - Subnormal results lose relative precision: each of at most D + K + 4
+      operations per score or u adds up to 2^-1075, times 2/P in units of u
+      on the exact path.
+
+    So the exact score of the least u beats every other k when u2 - u1
+    exceeds 2.01 (g_(D+K) + g_(D+K+2)) u2 + 8 g_(K+1) |b| / P plus the
+    subnormal term, which ``_tied_terms`` bounds by 2.05 (D+K+1) eps u2 +
+    4.05 (K+1) eps |b| / P + (D+K+4) 2^-1074 (1 + 2/P), eps = 2e, and
+    multiplies by ``TIED_GUARD_FACTOR``.  The gap is strict, so exact ties
+    fall back and resolve to the lowest index.  ``p * sum(s) < 1e300``
+    (the sum bounds every s_j) keeps every exact log-joint above the
+    -1e300 floor of ``model._smooth`` (|b| is below log K + 8 D), which
+    would otherwise change the exact scores, and makes diff, s and u
+    finite, so a NaN or inf falls back too; it is tested first, so the
+    smoothing product never meets an inf and raises no floating-point
+    warning that the exact path would not.  Near ties, non-finite
+    differences and huge distances take ``_sample_winner``.  K = 1 needs
+    no guard.  The few values are compared as Python floats, which costs
+    less than numpy calls on arrays this small.
+
+    The pull.  When the guard settled the winner (so diff is finite) and
+    the kernel is the identity, only the winner's row is pulled, through
+    one-row views.  A zero coefficient changes a finite centroid entry only
+    when it is -0.0 and x_i >= 0, which it turns into +0.0, and a pull
+    never makes a -0.0; so the one-row pull is bitwise the full pull for a
+    model whose centroids held no -0.0 when ``_tied_terms`` made its terms,
+    and a model that held one takes the full pull.
     """
-    _, _, psq, base, p = terms
-    diff, coupling = _sample_winner(batch, model, kernel, base, psq)
-    neighborhood_pull(model.centroids, (eps * p) * coupling, diff)
+    _, _, psq, base, p, rel, slack, one_row = terms
+    g = mc._kernel_matrix(model, kernel)
+    mc._check_dims(batch, model)
+    diff = batch.samples[0] - model.centroids
+    w = None
+    if g.shape[0] == 1:
+        w = 0
+    else:
+        s = np.einsum("ki,ki->k", diff, diff)
+        if p * sum(s.tolist()) < 1e300:
+            u = (g @ s).tolist()
+            u1, u2 = sorted(u)[:2]
+            if u2 - u1 > rel * u2 + slack:
+                w = u.index(u1)
+    if w is None:
+        w = _sample_winner(g, diff, base, psq)
+    elif one_row and kernel.is_identity:
+        row = slice(w, w + 1)
+        neighborhood_pull(model.centroids[row], (eps * p) * g[w, row], diff[row])
+        return
+    neighborhood_pull(model.centroids, (eps * p) * g[w], diff)
 
 
 def _apply(model, config, eps, gmu, gd, gpi):

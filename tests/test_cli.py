@@ -137,6 +137,11 @@ image_cols = 2
         ("image_rows = 1\nimage_cols = 2", "image_rows = -1\nimage_cols = -2"),
         ("t_inf = 0.7T", "t_inf = 1e308\neps0 = 1.0000000000000002\neps_inf = 1\n"
                          "tau_convention = literal"),
+        # Sizes numpy cannot allocate on any machine: a K x K kernel, and in
+        # the exact regime, which has no kernel, the K x D centroids.
+        ("components = 4", "components = 100000000000000000000"),
+        ("loss_regime = smoothed\ncomponents = 4",
+         "loss_regime = exact\ncomponents = 100000000000000000000"),
     ])
     def test_malformed_config_exit_1(self, tmp_path, capsys, old, new):
         cfg = write_training_setup(tmp_path)
@@ -295,8 +300,9 @@ class TestSample:
         assert cli.main(args) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
-    @pytest.mark.parametrize("n, seed", [("0", "1"), ("3", "-1")],
-                             ids=["count", "seed"])
+    @pytest.mark.parametrize("n, seed", [("0", "1"), ("3", "-1"),
+                                         ("99999999999999999999", "1")],
+                             ids=["count", "seed", "oversized"])
     def test_zero_count_exit_1(self, trained, capsys, n, seed):
         rc = cli.main(["sample", "--model", str(trained / "out" / "model.ckpt"),
                        "-n", n, "--seed", seed])

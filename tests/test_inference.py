@@ -266,6 +266,13 @@ class TestFrozenModel:
 
 
 class TestSample:
+    def test_oversized_count_refused_before_drawing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(UsageError, match="too large"):
+            sample(separated_model(), 10 ** 20, rng)
+        assert rng.bit_generator.state == before
+
     def test_tiny_variance_sticks_to_centroids(self):
         m = separated_model()
         m.precision_roots[...] = 1e3

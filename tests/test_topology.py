@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ class TestBuildKernel:
         g /= g.sum(axis=1, keepdims=True)
         assert np.array_equal(build_kernel(GridTopology("2d", 25), sigma).g, g)
 
+    @pytest.mark.parametrize("K, sigma, want", [
+        (1, 0.5, True), (25, 1e-7, True), (25, 0.02, True), (25, 0.1, False), (9, 1.0, False),
+    ])
+    def test_is_identity(self, K, sigma, want):
+        # At sigma = 0.02 every off-diagonal coupling underflows to 0.0; at
+        # 0.1 the nearest cells keep exp(-50).
+        kernel = build_kernel(GridTopology("2d", K), sigma)
+        assert kernel.is_identity is want
+        assert kernel.is_identity is np.array_equal(kernel.g, np.eye(K))
+
     def test_non_positive_sigma(self):
         for sigma in (0.0, -1.0, math.nan):
             with pytest.raises(UsageError):
@@ -167,6 +178,14 @@ class TestAnnealingSchedule:
         # formula diverges.
         diverging = AnnealingSchedule(1.2, 0.01, 100, 900, convention="literal")
         assert 0.01 <= diverging.value_at(500) <= 1.2
+
+    def test_tau_computed_once_and_not_a_field(self):
+        # asdict, which writes checkpoints, and equality see the fields only.
+        fresh = AnnealingSchedule(1.2, 0.01, 100, 900)
+        assert sigma_at(self.s, 500) == sigma_at(self.s, 500)
+        assert vars(self.s)["tau"] == math.log(1.2 / 0.01) / 800
+        assert asdict(self.s) == asdict(fresh) and self.s == fresh
+        assert set(asdict(self.s)) == {"value0", "value_inf", "t0", "t_inf", "convention"}
 
     def test_invalid_parameters(self):
         with pytest.raises(UsageError):

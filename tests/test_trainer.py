@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestInitModel:
         assert np.all(m.weights == 0.04)
         assert np.allclose(m.precision_roots, math.sqrt(5.0), atol=1e-12)
         assert np.all(np.abs(m.centroids) <= 0.01)
+
+    @pytest.mark.parametrize("regime", ["exact", "smoothed"])
+    def test_oversized_component_count(self, regime):
+        # Refused before any allocation: the smoothed run's K x K kernel in
+        # validate, the exact run's K x D centroids in init_model.
+        what = "centroid matrix" if regime == "exact" else "neighbourhood kernel"
+        with pytest.raises(UsageError, match=f"{what} of shape .* is too large"):
+            init_model(basic_config(regime, K=10 ** 20), np.random.default_rng(0), 2)
 
     def test_deterministic_under_seed(self):
         cfg = basic_config()
@@ -666,6 +675,276 @@ class TestTiedTerms:
             tied_step(state, cfg, kernel, x)
         with pytest.raises(UsageError, match="dimension"):
             sgd_step(state, DataSet(np.ones((1, dim))), cfg)
+
+
+def frozen_tied_step(model, terms, kernel, eps, x):
+    """The reference tied single-sample step, without the guard and the
+    one-row pull: the exact winner from the squares of x - mu, then the pull
+    of every row."""
+    _, _, psq, base, p = terms[:5]
+    g = kernel.g
+    diff = x - model.centroids
+    lj = base - 0.5 * np.einsum("ki,ki->k", psq, diff * diff)
+    scores = np.maximum(lj, -1e300)[None, :] @ g.T
+    coupling = g[scores.argmax(axis=1)[0]]
+    neighborhood_pull(model.centroids, (eps * p) * coupling, diff)
+
+
+def tied_terms_of(model, K):
+    """A tied model's run terms, made as ``make_state`` makes them."""
+    state = trainer_mod.TrainState(model, 0, None, GridTopology("1d", K))
+    return trainer_mod._tied_terms(state)
+
+
+def grid_topology(K):
+    return GridTopology("2d", K) if math.isqrt(K) ** 2 == K else GridTopology("1d", K)
+
+
+@pytest.fixture
+def winner_calls(monkeypatch):
+    """Counts the exact winners that the tied step falls back to."""
+    calls = []
+
+    def counting(*args, _fn=trainer_mod._sample_winner):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(trainer_mod, "_sample_winner", counting)
+    return calls
+
+
+def assert_tied_step_exact(model, kernel, eps, x, terms=None):
+    """One tied single-sample step, bitwise against the frozen step."""
+    if terms is None:
+        terms = tied_terms_of(model, model.n_components)
+    want = model.copy()
+    trainer_mod._tied_sample_step(model, terms, DataSet(x[None, :]), kernel, eps)
+    frozen_tied_step(want, terms, kernel, eps, x)
+    assert model.centroids.tobytes() == want.centroids.tobytes()
+
+
+# Kernel radii: the identity (below IDENTITY_SIGMA, and at 0.02, where every
+# off-diagonal coupling underflows to 0.0), exact-zero couplings beyond the
+# nearest cells of the larger grids (0.05), and dense rows.
+GUARD_SIGMAS = (1e-7, 0.02, 0.05, 0.3, 1.0, 3.0)
+
+
+def guard_case(rng, K, D):
+    """A random tied model, kernel, rate and sample: offsets up to 1e6,
+    scales from 1e-4 to 1e3, d log-uniform over [D_MIN, D_MAX] (the bounds
+    themselves one time in five), centroids spread over six decades of
+    distance from x one time in four, and one time in four near ties: the
+    centroids on a sphere around x, radii apart by 1e-16 to 1e-10."""
+    d = rng.choice([D_MIN, D_MAX]) if rng.random() < 0.2 else \
+        math.exp(rng.uniform(math.log(D_MIN), math.log(D_MAX)))
+    offset = rng.choice([0.0, 1.0, -1e3, 1e6])
+    scale = 10.0 ** rng.uniform(-4, 3)
+    x = offset + scale * rng.normal(size=D)
+    mu = offset + scale * rng.normal(size=(K, D))
+    kind = rng.random()
+    if kind < 0.25:
+        mu = x + (mu - offset) * 10.0 ** rng.uniform(-3, 3, (K, 1))
+    elif kind < 0.5:
+        v = mu - offset
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        mu = x + scale * v * (1.0 + 10.0 ** rng.uniform(-16, -10) * rng.normal(size=(K, 1)))
+    model = MixtureModel(np.full(K, 1.0 / K), mu, np.full((K, D), d), tied_spherical=True)
+    kernel = build_kernel(grid_topology(K), rng.choice(GUARD_SIGMAS))
+    eps = 10.0 ** rng.uniform(-3, 0) / d ** 2
+    return model, kernel, eps, x
+
+
+class TestTiedWinnerGuard:
+    """The tied single-sample step takes argmin of the smoothed squared
+    distances when its gap clears the guard's bound, and the exact winner
+    otherwise; either way it is bitwise the frozen step."""
+
+    def test_random_cases_match_the_frozen_step(self, rng, winner_calls, monkeypatch):
+        rows = []
+
+        def recording_pull(centroids, coeff, diff, _fn=neighborhood_pull):
+            rows.append(centroids.shape[0])
+            return _fn(centroids, coeff, diff)
+
+        monkeypatch.setattr(trainer_mod, "neighborhood_pull", recording_pull)
+        cases = one_row = 0
+        for K in (1, 4, 9, 25):
+            for D in (1, 2, 64, 784):
+                for _ in range(130):
+                    model, kernel, eps, x = guard_case(rng, K, D)
+                    assert_tied_step_exact(model, kernel, eps, x)
+                    cases += 1
+                    one_row += K > 1 and rows[-1] == 1
+        assert cases >= 2000
+        # It falls back on near ties and where the normaliser's rounding,
+        # |b| eps / d^2, outweighs the gap of the two least distances (mostly
+        # d < 0.005): 335 of the 2080 cases.
+        assert len(winner_calls) < cases // 4
+        assert one_row > cases // 10  # and the one-row pull is taken
+
+    def test_error_stays_within_half_the_guard(self, rng):
+        # The worst gap error between the two paths over the bound of
+        # ``_tied_sample_step``'s derivation (TIED_GUARD_FACTOR = 1), on the
+        # random cases, near ties included.  Measured: 0.15 on these, and at
+        # most 0.33 over 30000 more such cases.
+        worst = 0.0
+        for _ in range(600):
+            K, D = int(rng.choice([4, 9, 25])), int(rng.choice([1, 2, 64, 784]))
+            model, kernel, _, x = guard_case(rng, K, D)
+            terms = tied_terms_of(model, K)
+            _, _, psq, base, p, rel, slack, _ = terms
+            g, diff = kernel.g, x - model.centroids
+            lj = base - 0.5 * np.einsum("ki,ki->k", psq, diff * diff)
+            scores = (np.maximum(lj, -1e300)[None, :] @ g.T)[0]
+            s = np.einsum("ki,ki->k", diff, diff)
+            u = g @ s
+            if not p * s.max() < 1e300:
+                continue
+            w = int(u.argmin())
+            P = Fraction(float(psq[0, 0]))
+            for k in range(K):
+                if k != w:
+                    err = abs(2 / P * (Fraction(scores[w]) - Fraction(scores[k]))
+                              - (Fraction(u[k]) - Fraction(u[w])))
+                    bound = (rel * max(u[k], u[w]) + slack) / trainer_mod.TIED_GUARD_FACTOR
+                    worst = max(worst, float(err) / bound)
+        assert 0.0 < worst <= 1.0 and trainer_mod.TIED_GUARD_FACTOR >= 2.0
+
+    @pytest.mark.parametrize("sigma", [1e-7, 0.8])
+    @pytest.mark.parametrize("K", [4, 25])
+    def test_duplicate_centroids(self, rng, winner_calls, sigma, K):
+        model, _, eps, x = guard_case(rng, K, 64)
+        model.centroids[...] = x + rng.normal(size=(K, 64))
+        model.centroids[K - 1] = model.centroids[1] = x + 0.01
+        assert_tied_step_exact(model, build_kernel(grid_topology(K), sigma), eps, x)
+        if sigma < 1e-6:
+            assert len(winner_calls) == 1
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0, -1e6])
+    def test_equidistant_from_two_centroids(self, rng, winner_calls, x0):
+        model, _, eps, _ = guard_case(rng, 9, 2)
+        x = np.full(2, x0)
+        model.centroids[...] = x0 + 100.0 + rng.uniform(size=(9, 2))
+        model.centroids[6] = x + [0.5, -0.25]
+        model.centroids[2] = x + [-0.25, 0.5]
+        assert_tied_step_exact(model, NeighborhoodKernel(np.eye(9), 0.0), eps, x)
+        assert len(winner_calls) == 1
+
+    @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
+    def test_data_mean_start(self, winner_calls, regime):
+        # Every centroid is the data mean, so every score ties up to rounding.
+        cfg = basic_config(regime, K=9, T=50, tied_spherical=True, init_mode="data_mean",
+                           eps_schedule=flat_schedule(EPS))
+        data = random_data(np.random.default_rng(4), 30, 5)
+        state = make_state(cfg, data)
+        kernel = trainer_mod._regime_kernel(state, cfg, trainer_mod._sigma(cfg, 0))
+        x = data.samples[3]
+        want = state.model.copy()
+        sgd_step(state, DataSet(x[None, :]), cfg)
+        assert len(winner_calls) == 1
+        frozen_tied_step(want, state.tied_terms, kernel, EPS, x)
+        assert state.model.centroids.tobytes() == want.centroids.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1e-7, 0.8])
+    @pytest.mark.parametrize("far", [np.inf, 1e200, -3e150])
+    def test_overflowing_difference(self, rng, winner_calls, sigma, far):
+        # x - inf is -inf and 1e200 squares to inf; -3e150 gives a finite
+        # squared distance whose log-joint lies below the -1e300 floor of
+        # the smoothed scores.
+        model = MixtureModel(np.full(9, 1 / 9), rng.normal(size=(9, 3)),
+                             np.ones((9, 3)), tied_spherical=True)
+        terms = tied_terms_of(model, 9)
+        model.centroids[4] = far
+        x = rng.normal(size=3)
+        with np.errstate(all="ignore"):
+            assert_tied_step_exact(model, build_kernel(grid_topology(9), sigma), EPS, x,
+                                   terms)
+        assert len(winner_calls) == 1
+
+
+def tied_k25_d64_run():
+    """The config and data of the ``smoothed_tied_k25_d64`` golden run."""
+    T = 300
+    config = TrainConfig(
+        "smoothed", 25, T,
+        eps_schedule=AnnealingSchedule(0.1, 0.005, 0.3 * T, 0.8 * T),
+        sigma_schedule=AnnealingSchedule(2.0, 0.01, 0.2 * T, 0.6 * T),
+        init_dsq=3.0, tied_spherical=True, seed=29, diag_every=25,
+    )
+    rng = np.random.default_rng(23)
+    centres = rng.normal(scale=3.0, size=(6, 64))
+    return config, DataSet(centres[rng.integers(0, 6, 600)] + rng.standard_normal((600, 64)))
+
+
+class TestOneRowPull:
+    """Once the kernel is the identity, the tied step pulls the winner's
+    row alone, through a one-row view, unless the run started with a -0.0
+    in its centroids."""
+
+    @staticmethod
+    def record_pulls(monkeypatch):
+        """(identity kernel?, rows pulled, a view of the model's centroids?)
+        per tied step."""
+        steps = []
+
+        def recording_step(model, terms, batch, kernel, eps, _fn=trainer_mod._tied_sample_step):
+            steps.append([np.count_nonzero(kernel.g) == kernel.n_components, model.centroids])
+            return _fn(model, terms, batch, kernel, eps)
+
+        def recording_pull(centroids, coeff, diff, _fn=neighborhood_pull):
+            steps[-1][1] = (centroids.shape[0], centroids.base is steps[-1][1])
+            return _fn(centroids, coeff, diff)
+
+        monkeypatch.setattr(trainer_mod, "_tied_sample_step", recording_step)
+        monkeypatch.setattr(trainer_mod, "neighborhood_pull", recording_pull)
+        return steps
+
+    def test_tied_max_component_run(self, monkeypatch):
+        steps = self.record_pulls(monkeypatch)
+        cfg = basic_config("max_component", K=4, T=300, tied_spherical=True,
+                           init_dsq=1.0, seed=17)
+        run(cfg, four_cluster_data(5))
+        assert len(steps) == 300
+        assert all(identity and pulled == (1, True) for identity, pulled in steps)
+
+    def test_smoothed_tied_k25_d64_run(self, monkeypatch):
+        steps = self.record_pulls(monkeypatch)
+        config, data = tied_k25_d64_run()
+        run(config, data)
+        assert len(steps) == 300
+        identity = [pulled for one_hot, pulled in steps if one_hot]
+        assert len(identity) > 100 and all(p == (1, True) for p in identity)
+        assert all(p == (25, False) for one_hot, p in steps if not one_hot)
+
+    def test_negative_zero_start_takes_the_full_pull(self, rng):
+        # Column 0 of the data is >= 0, so the full pull turns each -0.0
+        # there into +0.0, also in the far rows 5-8, which never win.
+        cfg = basic_config("max_component", K=9, T=200, tied_spherical=True,
+                           init_dsq=2.0, eps_schedule=flat_schedule(EPS))
+        data = random_data(rng, 50, 3)
+        data.samples[:, 0] = np.abs(data.samples[:, 0])
+        start = init_model(cfg, np.random.default_rng(8), 3)
+        start.centroids[:, 0] = -0.0
+        start.centroids[5:, 1] = 100.0
+        resume = {"model": start, "t": 0,
+                  "rng_state": np.random.default_rng(9).bit_generator.state}
+
+        got = run(cfg, data, resume).model
+        want = make_state(cfg, data, resume).model
+        state = make_state(cfg, data, resume)
+        assert not state.tied_terms[7]
+        forced = state.tied_terms[:7] + (True,)
+        kernel = NeighborhoodKernel(np.eye(9), 0.0)
+        for idx in trainer_mod._batch_indices(cfg, np.random.default_rng(9), 50, 0):
+            x = data.samples[idx[0]]
+            frozen_tied_step(want, forced, kernel, EPS, x)
+            trainer_mod._tied_sample_step(state.model, forced, DataSet(x[None, :]),
+                                          kernel, EPS)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        # The one-row pull, were it taken, would keep the far rows' -0.0.
+        assert np.array_equal(state.model.centroids, want.centroids)
+        assert np.signbit(state.model.centroids[5:, 0]).all()
+        assert not np.signbit(want.centroids[:, 0]).any()
 
 
 class TestResumeModel:
