@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as mc
+from . import backend, model as mc
 from .exceptions import UsageError
 from .model import DataSet, MixtureModel, HALF_LOG_2PI
 from .topology import GridTopology, NeighborhoodKernel
@@ -86,7 +86,7 @@ def som_update(view: SomView, x, epsilon: float):
     x = mc.as_vector(x, view.model)
     winner = _bmu(x, view)
     coeff = epsilon * view.kernel.g[winner]
-    neighborhood_pull(view.prototypes, coeff, x - view.prototypes)
+    neighborhood_pull(view.prototypes, coeff, backend._difference(x, view.prototypes))
     return view
 
 

@@ -43,6 +43,18 @@ def four_cluster_data(seed):
     return DataSet(pts)
 
 
+def blob_images(rng, n):
+    """n 28 x 28 byte images, each a bright 2D Gaussian bump at a random
+    location."""
+    yy, xx = np.mgrid[0:28, 0:28]
+    imgs = np.empty((n, 28, 28), dtype=np.uint8)
+    for i in range(n):
+        cy, cx = rng.uniform(6, 22, 2)
+        bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 3.0 ** 2))
+        imgs[i] = np.rint(255 * bump).astype(np.uint8)
+    return imgs
+
+
 def cluster_means(data):
     n = SAMPLES_PER_CLUSTER
     return np.array([data.samples[i * n:(i + 1) * n].mean(axis=0) for i in range(4)])

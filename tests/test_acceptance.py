@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     CLUSTER_STD,
     annealed_benchmark_config,
+    blob_images,
     cluster_means,
     four_cluster_data,
     matched_rmse,
@@ -359,14 +360,7 @@ def test_11_max_component_bound_tightens_with_dimension():
 def test_cli_end_to_end_on_image_subset(tmp_path):
     """Full-scale configuration executes on a 500-image IDX subset and emits
     the visualization artifacts without a numeric abort."""
-    rng = np.random.default_rng(111)
-    # Blob images: a bright 2D Gaussian bump at a random location per image.
-    yy, xx = np.mgrid[0:28, 0:28]
-    imgs = np.empty((500, 28, 28), dtype=np.uint8)
-    for i in range(500):
-        cy, cx = rng.uniform(6, 22, 2)
-        bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 3.0 ** 2))
-        imgs[i] = np.rint(255 * bump).astype(np.uint8)
+    imgs = blob_images(np.random.default_rng(111), 500)
     data_path = tmp_path / "digits.idx"
     data_path.write_bytes(make_idx_bytes(imgs))
 

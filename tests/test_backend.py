@@ -113,6 +113,114 @@ def test_backend_is_python_whatever_the_environment():
         assert out.stdout.strip() == "python"
 
 
+# Signed zeros, infinities, NaN, subnormals, the smallest normal and values
+# whose difference or square overflows or underflows.
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                    1e-310, 2.2250738585072014e-308, 1e-160, -1e-160, 1e200,
+                    -1e200, 1.7e308, -1.7e308, 1.0, -3.5])
+
+
+def _flags(f, *args):
+    """The result of ``f(*args)`` as int64 bits, and the floating-point
+    errors it signalled, in order."""
+    seen = []
+    with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
+        out = f(*args)
+    return out.view(np.int64), seen
+
+
+class TestSameShapeLoops:
+    """``backend._difference`` against the broadcast ``x - centroids`` and
+    ``np.square`` against ``np.multiply``: the same bits, NaN payloads and
+    signs of zero included, and the same floating-point errors."""
+
+    @staticmethod
+    def broadcast(x, centroids):
+        return x - centroids
+
+    def assert_same_difference(self, x, centroids):
+        got, got_flags = _flags(backend._difference, x, centroids)
+        want, want_flags = _flags(self.broadcast, x, centroids)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got_flags == want_flags
+
+    def test_every_pair_of_special_values(self):
+        # Row k of the centroids is SPECIAL rolled by k, so every value
+        # meets every other one.
+        n = SPECIAL.size
+        centroids = np.array([np.roll(SPECIAL, k) for k in range(n)])
+        self.assert_same_difference(SPECIAL, centroids)
+        self.assert_same_difference(SPECIAL[::-1].copy(), centroids)
+
+    @pytest.mark.parametrize("K,D", [(1, 1), (1, 17), (17, 1), (25, 784)])
+    def test_shapes(self, rng, K, D):
+        x = rng.choice(SPECIAL, D)
+        centroids = rng.choice(SPECIAL, (K, D))
+        self.assert_same_difference(x, centroids)
+        self.assert_same_difference(rng.normal(size=D), rng.normal(size=(K, D)))
+
+    def test_strided_views(self, rng):
+        big = rng.choice(SPECIAL, (30, 40))
+        row = rng.choice(SPECIAL, 80)
+        for centroids in (big[::2, ::3], big[1::3, 5:9], big.T[:14, :25],
+                          big[:, ::-1]):
+            D = centroids.shape[1]
+            self.assert_same_difference(row[:D].copy(), centroids)
+            self.assert_same_difference(row[::2][:D], centroids)
+
+    def test_result_is_a_new_array(self, rng):
+        x, centroids = rng.normal(size=3), rng.normal(size=(4, 3))
+        before = centroids.copy()
+        diff = backend._difference(x, centroids)
+        assert diff.flags.owndata and diff.flags.c_contiguous
+        assert diff.dtype == np.float64
+        assert np.array_equal(centroids, before)
+
+    @pytest.mark.parametrize("x, mu", [(1.7e308, -1.7e308), (-1.7e308, 1.7e308)])
+    def test_overflow_warns_alike(self, x, mu):
+        # The project's filterwarnings = error turns the warning into an
+        # exception, on both forms alike.
+        for f in (self.broadcast, backend._difference):
+            with pytest.raises(RuntimeWarning, match="overflow encountered in subtract"):
+                f(np.array([x]), np.array([[mu], [0.0]]))
+
+    def test_invalid_warns_alike(self):
+        for f in (self.broadcast, backend._difference):
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in subtract"):
+                f(np.array([np.inf]), np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (17, 17), (25, 784)])
+    def test_square_is_multiply(self, rng, shape):
+        for diff in (rng.choice(SPECIAL, shape), rng.normal(size=shape)):
+            got, got_flags = _flags(np.square, diff)
+            want, want_flags = _flags(lambda a: np.multiply(a, a), diff)
+            assert np.array_equal(got, want) and got_flags == want_flags
+            out = np.empty(shape)
+            got, _ = _flags(lambda a: np.square(a, out=a), diff.copy())
+            want, _ = _flags(lambda a: np.multiply(a, a, out=out), diff)
+            assert np.array_equal(got, want)
+
+    def test_square_overflow_warns_alike(self):
+        diff = np.array([[1e200, 2.0]])
+        with pytest.raises(RuntimeWarning, match="overflow encountered in square"):
+            np.square(diff)
+        with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+            np.multiply(diff, diff)
+
+    def test_single_row_is_the_two_temporary_formula(self, rng):
+        for K, D in [(1, 1), (4, 2), (25, 784)]:
+            m = random_model(rng, K, D)
+            x = rng.normal(size=D)
+            base, psq = backend._fresh_terms(m.weights, m.precision_roots)
+            diff = x - m.centroids
+            want = base - 0.5 * np.einsum("ki,ki->k", psq, np.multiply(diff, diff))
+            got = backend._single_row(base, m.centroids, psq, x)
+            assert got.tobytes() == want.tobytes()
+            kept = diff.copy()
+            assert backend._difference_row(base, psq, diff).tobytes() == want.tobytes()
+            assert np.array_equal(diff, kept)
+
+
 def fresh(*args):
     """log_joints with the normaliser memo cleared first."""
     backend._terms = None

@@ -8,7 +8,11 @@ its off-diagonal couplings are exact zeros; its digest was recorded again
 when d came to be set once per run, because averaging d on every step had
 moved sqrt(3) by an ulp, twice, at 25 x 64.
 One more digest covers the per-row output of ``somgmm cluster`` and
-``somgmm score --reference`` on a trained model.
+``somgmm score --reference`` on a trained model, and another the labels of
+``somgmm cluster`` and the per-row ``outlier_score`` values on a K=25,
+D=784 tied checkpoint trained on blob images, the shape of the benchmark's
+inference workload; it was recorded before the one-row kernel copied x
+into every row of its difference instead of broadcasting it.
 The tied max_component batch-1 run covers the identity-kernel branch of the
 tied single-sample step; its digest was recorded before that step kept its
 settled precision terms on the training state.  It equals the untied
@@ -38,13 +42,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import four_cluster_data
-from somgmm import cli
-from somgmm.io import Checkpoint, save_checkpoint, save_csv
+from conftest import blob_images, four_cluster_data
+from somgmm import cli, inference
+from somgmm.io import Checkpoint, load_checkpoint, load_idx, save_checkpoint, save_csv
 from somgmm.model import DataSet
 from somgmm.sombridge import SomView, verify_equivalence
 from somgmm.topology import AnnealingSchedule, GridTopology, build_kernel
 from somgmm.trainer import TrainConfig, run, train
+from test_io import make_idx_bytes
 
 T = 300
 
@@ -96,6 +101,8 @@ GOLDEN = {
         "615ab2bcb9da259def071f2d7a9e2a4cfa8060f72680953bb6a345a6305dba4e",
     "inference":
         "f8e5210f51fc0172e0918f1a2f759dd7763e05e1e120cf7e56020ebfa30cd3fa",
+    "inference_k25_d784":
+        "c84cf30145694a79eb21734fedab93977689473e66df7a8dcb268900c6df2b50",
     "smoothed_tied_k25_d64":
         "6a70a4b1196cd63fae2fdbcb36bc7bd9a2e3baadd3433cfdd67afe8144b8701b",
     "smoothed_untied_batch3_epoch":
@@ -230,3 +237,33 @@ def test_inference_digest(tmp_path, capsys):
         assert cli.main(argv) == 0
         h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == GOLDEN["inference"]
+
+
+def test_inference_k25_d784_digest(tmp_path, capsys):
+    # The README reference schedule, shortened, on 300 blob images; the
+    # queries are 190 more blobs and 10 uniform-noise images.
+    T784 = 2000
+    config = TrainConfig(
+        "smoothed", 25, T784,
+        eps_schedule=AnnealingSchedule(0.05, 0.009, 0.3 * T784, 0.8 * T784),
+        sigma_schedule=AnnealingSchedule(1.2, 0.01, 0.3 * T784, 0.8 * T784),
+        init_dsq=5.0, tied_spherical=True, seed=7, diag_every=T784,
+    )
+    rng = np.random.default_rng(41)
+    train_path, query_path = tmp_path / "train.idx", tmp_path / "query.idx"
+    train_path.write_bytes(make_idx_bytes(blob_images(rng, 300)))
+    noise = rng.integers(0, 256, (10, 28, 28))
+    query_path.write_bytes(make_idx_bytes(np.concatenate([blob_images(rng, 190), noise])))
+    model, _ = train(config, load_idx(train_path))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, Checkpoint(model, "smoothed", config.topology(),
+                                     config.eps_schedule, config.sigma_schedule,
+                                     T784, config.seed))
+    assert cli.main(["cluster", "--model", ckpt, "--data", str(query_path)]) == 0
+    labels = capsys.readouterr().out
+    assert len(set(labels.split())) > 5
+    loaded = load_checkpoint(ckpt).model
+    scores = [inference.outlier_score(x, loaded) for x in load_idx(query_path).samples]
+    h = hashlib.sha256(labels.encode())
+    h.update(np.array(scores).tobytes())
+    assert h.hexdigest() == GOLDEN["inference_k25_d784"]

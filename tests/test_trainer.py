@@ -1057,6 +1057,79 @@ class TestMaxPairwiseDistance:
         assert {"healthy", "degenerate"} <= set(got)
 
 
+class TestSpreadBelow:
+    """detect_collapse's spread test, which takes the full maximum only when
+    row 0's distances do not clear the threshold, against the full
+    maximum."""
+
+    @staticmethod
+    def full(mu, threshold):
+        return trainer_mod._max_pairwise_distance(mu) < threshold
+
+    @staticmethod
+    def cases(rng):
+        for K, D in [(1, 3), (2, 1), (4, 2), (9, 17), (25, 784)]:
+            for scale in (1e-9, 1.0, 1e6):
+                yield scale * rng.normal(size=(K, D))
+            yield np.tile(rng.normal(size=D), (K, 1))  # degenerate
+            yield np.tile(rng.normal(size=D), (K, 1)) + 1e-9 * rng.normal(size=(K, D))
+            mu = rng.normal(size=(K, D))
+            mu[0] = mu.mean(axis=0)  # row 0 in the middle: its bound is loose
+            yield mu
+            for bad in (np.nan, np.inf, -np.inf):
+                for row in {0, K - 1}:
+                    mu = rng.normal(size=(K, D))
+                    mu[row, D // 2] = bad
+                    yield mu
+
+    @staticmethod
+    def thresholds(mu):
+        spread = trainer_mod._max_pairwise_distance(mu)
+        bound = np.sqrt(trainer_mod._largest_sq_distance_from(mu, 0))
+        near = [np.nextafter(v, side) for v in (spread, bound) for side in (0.0, np.inf)]
+        return [0.0, 1e-300, 1e-3, 1.0, np.inf, np.nan, spread, bound, *near]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_full_maximum(self, rng):
+        n = 0
+        for mu in self.cases(rng):
+            for threshold in self.thresholds(mu):
+                assert trainer_mod._spread_below(mu, threshold) == self.full(mu, threshold)
+                n += 1
+        assert n > 600
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_verdicts_match(self, rng, monkeypatch):
+        data = random_data(rng, 60, 5)
+        stats = DataStats.from_data(data)
+        models = []
+        for K in (4, 9):
+            for scale in (0.0, 1e-9, 1e-4, 1e-2, 1.0):
+                mu = data.samples.mean(axis=0) + scale * rng.normal(size=(K, 5))
+                models.append(MixtureModel(np.full(K, 1.0 / K), mu, np.ones((K, 5)),
+                                           tied_spherical=True))
+                middle = models[-1].copy()
+                middle.centroids[0] = middle.centroids.mean(axis=0)
+                models.append(middle)
+            for bad in (np.nan, np.inf):
+                for row in (0, 3):
+                    m = models[-1].copy()
+                    m.centroids[row, 2] = bad
+                    models.append(m)
+        got = [detect_collapse(m, stats, data) for m in models]
+        monkeypatch.setattr(trainer_mod, "_spread_below", self.full)
+        assert got == [detect_collapse(m, stats, data) for m in models]
+        assert {"healthy", "degenerate"} <= set(got)
+
+    def test_a_clearing_row_0_skips_the_full_maximum(self, rng, monkeypatch):
+        def refuse(mu):
+            raise AssertionError("full maximum computed")
+
+        monkeypatch.setattr(trainer_mod, "_max_pairwise_distance", refuse)
+        mu = rng.normal(size=(25, 784))
+        assert not trainer_mod._spread_below(mu, 1e-3)
+
+
 def _one_draw_per_step(config, data):
     """run's loop with one rng.integers(0, N, size=batch_size) call per
     step, as before the indices were drawn in blocks."""
