@@ -15,30 +15,24 @@ Guard: the expansion's rounding error is about ``eps * (S + M_k)`` with
 ``GUARD_RTOL`` of max(1, |value|) are evaluated again as single rows.
 
 Memo: the normaliser ``log(pi_k) + sum_i log d_ki - D log(2 pi)/2`` and the
-precisions P = d^2 depend only on the weights and the precision roots, which
-neither a tied run nor inference changes.  Both are computed once for the
-last pair seen and kept with it in one entry.  Each array of the pair is
-keyed by what it is:
+precisions P = d^2 depend only on the weights and the precision roots.  Both
+are computed once for the last pair seen and kept in one entry with a weak
+reference to each array of the pair.  The entry serves a pair while each
+array is the very object it was made from and still frozen: read-only and
+owning its data.  By convention a frozen array is never changed, and a
+``MixtureModel`` holds only frozen weights and d (see ``model``), so every
+model hits after one identity check per array.  Any other array, such as a
+writeable one, a read-only view (a write through its base changes it) or an
+array made writeable again, misses and is computed afresh.  The untied
+single-sample training step (``trainer._sample_gradients``) calls
+``_fresh_terms`` directly: untied training gives the model new d and
+weights on every step, so the memo could never serve it and an entry would
+only cost its bookkeeping.
 
-- An array that is read-only and owns its data is frozen: by convention a
-  read-only array is never changed.  It is keyed by a weak reference, with
-  no copy, and the entry serves it while it is the same object and still
-  read-only, after one identity check.  A read-only view is not frozen,
-  since a write through its base changes it.  ``io.load_checkpoint`` and a
-  tied run's ``trainer.make_state`` give a model frozen weights and d.
-- Any other array is kept as a read-only copy, and the entry serves an
-  array that is not frozen, has its dtype and shape and compares equal to
-  it element by element.  Equal non-NaN floats differ at most in the sign
-  of zero, which gives the same log and the same square, so a hit is
-  bitwise the recomputation; NaN never compares equal and always misses.
-
-A frozen model's arrays are neither copied nor kept alive, so the memo then
-holds one K x D array, P.  Holding a second one, a copy of d next to P, moved
-the ``digits_infer`` benchmark's ``peak_rss_mb`` from 299.5 to 314.3-314.6 MB
-in 2 of 2 runs (heap layout), at that metric's 5% bound.
-The untied single-sample training step (``trainer._sample_gradients``)
-skips the memo and calls ``_fresh_terms``: it trains the weights and d on
-every step, so each call would miss and copy both arrays.
+The memo keeps no array alive and copies none, so it holds one K x D array,
+P.  Holding a second one, a copy of d next to P, moved the ``digits_infer``
+benchmark's ``peak_rss_mb`` from 299.5 to 314.3-314.6 MB in 2 of 2 runs
+(heap layout), at that metric's 5% bound.
 
 Same-shape loops: every one-sample difference ``x - mu`` (the one-row
 kernel, both single-sample training steps and ``sombridge.som_update``)
@@ -75,9 +69,9 @@ ERROR_FACTOR = 8.0
 _EPS = np.finfo(np.float64).eps
 
 
-# (weights_key, d_key, base, psq) of the last miss; a key is a weak reference
-# to a frozen argument or a read-only copy of any other.  Replaced as one
-# tuple, so a concurrent reader sees either the old entry or the new one.
+# (weights_ref, d_ref, base, psq) of the last miss, with weak references to
+# the arrays it was made from.  Replaced as one tuple, so a concurrent reader
+# sees either the old entry or the new one.
 _terms = None
 
 
@@ -96,12 +90,12 @@ def _kernel_terms(weights, precision_roots):
     with the same inputs share them."""
     global _terms
     memo = _terms
-    if (memo is None or not _matches(memo[0], weights)
-            or not _matches(memo[1], precision_roots)):
+    if (memo is None or memo[0]() is not weights or memo[1]() is not precision_roots
+            or not (_frozen(weights) and _frozen(precision_roots))):
         base, psq = _fresh_terms(weights, precision_roots)
         for arr in (base, psq):
             arr.setflags(write=False)
-        memo = _terms = (_key(weights), _key(precision_roots), base, psq)
+        memo = _terms = (weakref.ref(weights), weakref.ref(precision_roots), base, psq)
     return memo[2], memo[3]
 
 
@@ -109,31 +103,6 @@ def _frozen(arr):
     """Whether ``arr`` is read-only and owns its data."""
     flags = arr.flags
     return flags.owndata and not flags.writeable
-
-
-def _key(arr):
-    """A weak reference to a frozen ``arr``, else a read-only copy."""
-    if _frozen(arr):
-        return weakref.ref(arr)
-    kept = arr.copy()
-    kept.setflags(write=False)
-    return kept
-
-
-def _matches(key, arr):
-    """Whether the entry keyed by ``key`` serves ``arr``: by identity while a
-    keyed array is still read-only, by value for an array that is not
-    frozen."""
-    if type(key) is weakref.ref:
-        return key() is arr and not arr.flags.writeable
-    return not _frozen(arr) and _same(key, arr)
-
-
-def _same(kept, arr):
-    """Whether ``arr`` has the dtype, shape and values of the kept copy.  The
-    shape is checked first because ``np.equal`` broadcasts."""
-    return (kept.dtype == arr.dtype and kept.shape == arr.shape
-            and np.equal(kept, arr).all())
 
 
 def log_joints(weights, centroids, precision_roots, samples):

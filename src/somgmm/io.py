@@ -174,8 +174,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint and validate its model; a malformed file of any kind
-    is a DataError.  The model's weights and precision roots are read-only
-    arrays that own their data, its centroids are writeable."""
+    is a DataError.  Like every model's, its weights and precision roots
+    are read-only arrays that own their data and its centroids writeable."""
     try:
         with open(path, "rb") as fh:
             magic = fh.readline().decode(errors="replace").split()
@@ -199,12 +199,6 @@ def load_checkpoint(path) -> Checkpoint:
         centroids = np.load(buf, allow_pickle=False)
         droots = np.load(buf, allow_pickle=False)
         model = MixtureModel(weights, centroids, droots, meta["tied_spherical"]).validate()
-        # np.load hands back views; read-only copies let the kernel key its
-        # terms by identity (see backend).
-        for name in ("weights", "precision_roots"):
-            frozen = getattr(model, name).copy()
-            frozen.setflags(write=False)
-            setattr(model, name, frozen)
         top = GridTopology(**meta["topology"])
         if top.n_components != model.n_components:
             raise ValueError("topology and model differ in component count")

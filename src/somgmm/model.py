@@ -47,6 +47,14 @@ class MixtureModel:
     With ``tied_spherical`` set, all precision roots share one scalar and the
     weights are frozen at 1/K; this is the configuration in which the model
     is exactly a grid-organized prototype map.
+
+    The weights and precision roots are frozen, read-only arrays that own
+    their data, so that ``backend`` can key its terms by identity: every
+    assignment, the constructor's, unpickling's and ``copy.deepcopy``'s
+    included, keeps a frozen array as it is and stores a frozen copy of
+    anything else.  An in-place write to either
+    raises ``ValueError``; assign a new array instead.  The centroids stay
+    writeable.
     """
 
     weights: np.ndarray
@@ -54,10 +62,20 @@ class MixtureModel:
     precision_roots: np.ndarray
     tied_spherical: bool = False
 
+    def __setattr__(self, name, value):
+        if name == "weights":
+            value = _freeze(np.ascontiguousarray(value, dtype=np.float64))
+        elif name == "precision_roots":
+            value = _freeze(_as_matrix(value, name))
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        # Unpickling and copy.deepcopy set the attributes through the hook.
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.centroids = _as_matrix(self.centroids, "centroids")
-        self.precision_roots = _as_matrix(self.precision_roots, "precision_roots")
 
     @property
     def n_components(self):
@@ -99,12 +117,19 @@ class MixtureModel:
         return self
 
     def copy(self):
-        return MixtureModel(
-            self.weights.copy(),
-            self.centroids.copy(),
-            self.precision_roots.copy(),
-            self.tied_spherical,
-        )
+        """A model with its own centroids, sharing the frozen weights and
+        precision roots."""
+        return MixtureModel(self.weights, self.centroids.copy(),
+                            self.precision_roots, self.tied_spherical)
+
+
+def _freeze(arr):
+    """``arr`` if it is frozen (see ``backend._frozen``), else a read-only
+    copy of it."""
+    if not backend._frozen(arr):
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass

@@ -116,15 +116,16 @@ class DataStats:
 
 @dataclass
 class TrainState:
-    """A run in progress.  A tied model's d and weights are fixed for the
-    run: ``make_state`` validates the starting model, gives it read-only
-    copies of both arrays and keeps ``tied_terms = (d, weights, psq, base,
-    p, rel, slack, one_row)`` with the kernel's precisions ``psq = d ** 2``
-    and normaliser ``base``, the scalar ``p = d^2`` of the pull, the bound of
-    the winner's guard and whether the one-row pull is exact (see
-    ``_tied_terms``).  A tied step uses them while the model holds those
-    same read-only arrays; another model, or arrays made writeable again,
-    are validated and get fresh terms first."""
+    """A run in progress.  A tied model's d and weights, frozen like every
+    model's, are fixed for the run: ``make_state`` validates the starting
+    model and keeps ``tied_terms = (d, weights, psq, base, p, rel, slack,
+    one_row, mu)`` with the kernel's precisions ``psq = d ** 2`` and
+    normaliser ``base``, the scalar ``p = d^2`` of the pull, the bound of
+    the winner's guard, whether the one-row pull is exact and the centroids
+    it was judged on (see ``_tied_terms``).  A tied step uses them while the
+    model holds those same arrays, d and the weights still read-only; another
+    model, a copy included, or arrays made writeable again, are validated and
+    get fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -254,20 +255,25 @@ def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, diff: np.ndarray
     centroids += diff
 
 
-def enforce_constraints(model: MixtureModel) -> MixtureModel:
-    """Clamp an untied model's precision roots and renormalize its weights
-    onto the (floored) simplex.  A tied model is left as it is: its d and
-    weights are set once per run (``make_state``)."""
+def enforce_constraints(model: MixtureModel, precision_roots: np.ndarray,
+                        weights: np.ndarray) -> MixtureModel:
+    """Give an untied model new precision roots, the given ones clamped to
+    [D_MIN, D_MAX], and new weights, the given ones renormalized onto the
+    (floored) simplex.  A tied model is left as it is: its d and weights
+    are set once per run (``make_state``)."""
     if model.tied_spherical:
         return model
-    d = model.precision_roots
-    np.maximum(d, D_MIN, out=d)  # bitwise np.clip, NaN kept, without its wrapper
+    # Bitwise np.clip, NaN kept, without its wrapper.  Each result is a new
+    # array, made read-only here and kept by the model without a copy.
+    d = np.maximum(precision_roots, D_MIN)
     np.minimum(d, D_MAX, out=d)
-    w = model.weights
-    np.maximum(w, WEIGHT_FLOOR, out=w)
+    w = np.maximum(weights, WEIGHT_FLOOR)
     w /= np.add.reduce(w)
     np.maximum(w, WEIGHT_FLOOR, out=w)
     w /= np.add.reduce(w)
+    d.setflags(write=False)
+    w.setflags(write=False)
+    model.precision_roots, model.weights = d, w
     return model
 
 
@@ -322,16 +328,14 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 
     if config.loss_regime == "exact":
         gmu, gd, gpi = grad_exact(batch, model)
-        _apply(model, config, eps, gmu, gd, gpi)
-        enforce_constraints(model)
+        enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
     else:
         kernel = _regime_kernel(state, config, sigma)
         if terms is not None and batch.count == 1:
             _tied_sample_step(model, terms, batch, kernel, eps)
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
-            _apply(model, config, eps, gmu, gd, gpi)
-            enforce_constraints(model)
+            enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
 
     state.t = t + 1
     if state.probe is not None and (
@@ -342,25 +346,20 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 
 
 def _tied_terms(state: TrainState) -> tuple:
-    """The terms (d, weights, psq, base, p, rel, slack, one_row) of the
-    state's tied model, made afresh when its d or weights are not the
-    read-only arrays they were made from: the model is validated and given
-    read-only copies of both, psq and base are the ``backend.log_joints``
-    terms of those frozen copies, p is the pull's scalar d^2, rel and slack
-    are the bound of the winner's guard, and one_row says that the
-    centroids held no -0.0 when the terms were made (see
-    ``_tied_sample_step``)."""
+    """The terms (d, weights, psq, base, p, rel, slack, one_row, mu) of the
+    state's tied model, made afresh when its d, weights or centroids are not
+    the arrays they were made from, or d or the weights were made writeable
+    again: the model is validated, psq and base are the
+    ``backend.log_joints`` terms of its d and weights, p is the pull's
+    scalar d^2, rel and slack are the bound of the winner's guard, and
+    one_row says that the centroids mu held no -0.0 when the terms were made
+    (see ``_tied_sample_step``)."""
     terms, model = state.tied_terms, state.model
-    if (terms is None or terms[0] is not model.precision_roots
-            or terms[1] is not model.weights
-            or terms[0].flags.writeable or terms[1].flags.writeable):
+    d, weights, mu = model.precision_roots, model.weights, model.centroids
+    if (terms is None or terms[0] is not d or terms[1] is not weights
+            or terms[8] is not mu or d.flags.writeable or weights.flags.writeable):
         model.validate()
-        d = model.precision_roots = model.precision_roots.copy()
-        weights = model.weights = model.weights.copy()
-        d.setflags(write=False)
-        weights.setflags(write=False)
         base, psq = backend._kernel_terms(weights, d)
-        mu = model.centroids
         K, D = mu.shape
         P, b = float(psq[0, 0]), abs(float(base[0]))
         rel = TIED_GUARD_FACTOR * 2.05 * (D + K + 1) * _EPS
@@ -369,7 +368,7 @@ def _tied_terms(state: TrainState) -> tuple:
         one_row = not np.any(np.signbit(mu) & (mu == 0.0))
         terms = state.tied_terms = (d, weights, psq, base,
                                     model.tied_precision_root ** 2,
-                                    rel, slack, one_row)
+                                    rel, slack, one_row, mu)
     return terms
 
 
@@ -435,7 +434,7 @@ def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
     model whose centroids held no -0.0 when ``_tied_terms`` made its terms,
     and a model that held one takes the full pull.
     """
-    _, _, psq, base, p, rel, slack, one_row = terms
+    psq, base, p, rel, slack, one_row = terms[2:8]
     g = mc._kernel_matrix(model, kernel)
     mc._check_dims(batch, model)
     diff = backend._difference(batch.samples[0], model.centroids)
@@ -459,11 +458,17 @@ def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
 
 
 def _apply(model, config, eps, gmu, gd, gpi):
-    model.centroids += eps * gmu
+    """Step the centroids in place and return the stepped precision roots
+    and weights, new arrays where they are trained, for
+    ``enforce_constraints`` to give the model."""
+    mu = model.centroids
+    mu += eps * gmu
+    d, w = model.precision_roots, model.weights
     if config.train_precisions and not model.tied_spherical:
-        model.precision_roots += eps * gd
+        d = d + eps * gd
     if config.train_weights and not model.tied_spherical:
-        model.weights += eps * gpi
+        w = w + eps * gpi
+    return d, w
 
 
 @dataclass

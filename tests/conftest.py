@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from somgmm import backend
 from somgmm.model import DataSet, MixtureModel
 from somgmm.topology import AnnealingSchedule
 from somgmm.trainer import TrainConfig
@@ -28,6 +29,19 @@ def random_model(rng, K, D, tied=False):
         rng.normal(scale=1.5, size=(K, D)),
         rng.uniform(0.4, 2.5, (K, D)),
     )
+
+
+def assert_frozen(model):
+    """The model's weights and precision roots are read-only arrays that own
+    their data, so an in-place write raises; its centroids are writeable."""
+    for arr in (model.weights, model.precision_roots):
+        assert arr.flags.owndata and not arr.flags.writeable
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        before = arr.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.5
+        assert arr.tobytes() == before
+    assert model.centroids.flags.writeable
 
 
 def random_data(rng, N, D):
@@ -87,20 +101,31 @@ def matched_rmse(model, targets):
     return float(np.sqrt(best))
 
 
-def numeric_grad(f, arr, h=1e-5):
-    """Central finite differences of a scalar function over an array."""
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = arr[idx]
-        arr[idx] = orig + h
-        fp = f()
-        arr[idx] = orig - h
-        fm = f()
-        arr[idx] = orig
-        g[idx] = (fp - fm) / (2 * h)
+def numeric_grad(f, model, name, h=1e-5):
+    """Central finite differences of a scalar function over the model's
+    array ``name``.  Each entry is moved on a new array, since a model's
+    weights and precision roots are read-only; the original is restored."""
+    arr = getattr(model, name)
+    g = np.zeros(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        values = []
+        for step in (h, -h):
+            moved = arr.copy()
+            moved[idx] = arr[idx] + step
+            setattr(model, name, moved)
+            values.append(f())
+        setattr(model, name, arr)
+        g[idx] = (values[0] - values[1]) / (2 * h)
     return g
+
+
+@pytest.fixture
+def fresh_terms_calls(monkeypatch):
+    """Records every computation of the kernel terms, ``backend._fresh_terms``."""
+    calls = []
+    fresh = backend._fresh_terms
+    monkeypatch.setattr(backend, "_fresh_terms", lambda *a: calls.append(a) or fresh(*a))
+    return calls
 
 
 @pytest.fixture

@@ -231,9 +231,17 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def frozen(arr):
+    """A read-only copy that owns its data, as every model holds."""
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
+
+
 class TestNormaliserMemo:
     def test_one_ulp_nudge_in_place_misses(self, rng):
         w, mu, d, x = _inputs(rng)
+        d = d.copy()  # writeable
         for rows in (x[:1], x):
             backend.log_joints(w, mu, d, rows)
             memo = backend._terms
@@ -244,6 +252,7 @@ class TestNormaliserMemo:
 
     def test_weights_changed_in_place_miss(self, rng):
         w, mu, d, x = _inputs(rng)
+        w = w.copy()  # writeable
         before = backend.log_joints(w, mu, d, x[:1])
         w[[0, 1]] = w[[1, 0]]
         got = backend.log_joints(w, mu, d, x[:1])
@@ -259,7 +268,7 @@ class TestNormaliserMemo:
 
     def test_zero_weight_hit_keeps_minus_inf(self, rng):
         w, mu, d, x = _inputs(rng, K=3)
-        w = np.array([0.0, 0.4, 0.6])
+        w = frozen(np.array([0.0, 0.4, 0.6]))
         want = fresh(w, mu, d, x[:1])
         memo = backend._terms
         got = backend.log_joints(w, mu, d, x[:1])
@@ -269,7 +278,9 @@ class TestNormaliserMemo:
 
     @pytest.mark.parametrize("where", ["weights", "precision_roots"])
     def test_nan_input_always_misses(self, rng, where):
+        # A writeable array misses whatever it holds, NaN included.
         w, mu, d, x = _inputs(rng)
+        w, d = w.copy(), d.copy()
         (w if where == "weights" else d)[1] = np.nan
         backend.log_joints(w, mu, d, x[:1])
         memo = backend._terms
@@ -279,53 +290,33 @@ class TestNormaliserMemo:
 
     @pytest.mark.parametrize("first, then", [(1, 4), (4, 1)])
     def test_broadcast_equal_model_of_other_size_misses(self, rng, first, then):
-        # One weight and one row of d, repeated: np.equal alone would call
-        # the K=1 and K=4 arrays equal.
+        # One weight and one row of d, repeated: the K=1 entry must not serve
+        # the K=4 model, nor the other way round.
         row = rng.uniform(0.4, 2.5, (1, 5))
         mus = {K: rng.normal(size=(K, 5)) for K in (1, 4)}
         x = rng.normal(size=(3, 5))
-
-        def args(K):
-            return np.full(K, 0.25), mus[K], np.repeat(row, K, axis=0), x[:1]
-
-        backend.log_joints(*args(first))
+        models = {K: (frozen(np.full(K, 0.25)), mus[K],
+                      frozen(np.repeat(row, K, axis=0)), x[:1]) for K in (1, 4)}
+        backend.log_joints(*models[first])
         memo = backend._terms
-        got = backend.log_joints(*args(then))
+        got = backend.log_joints(*models[then])
         assert backend._terms is not memo  # a miss
         assert backend._terms[2].shape == (then,)
-        assert_bitwise(got, fresh(*args(then)))
-
-    def test_signed_zero_swap_in_d_hits(self, rng):
-        w, mu, d, x = _inputs(rng, K=3)
-        d[1, 2] = 0.0
-        want = fresh(w, mu, d, x[:1])
-        memo = backend._terms
-        d[1, 2] = -0.0
-        got = backend.log_joints(w, mu, d, x[:1])
-        assert backend._terms is memo  # a hit
-        assert np.signbit(memo[1][1, 2]) != np.signbit(d[1, 2])
-        assert_bitwise(got, want)
-        assert_bitwise(got, fresh(w, mu, d, x[:1]))
+        assert_bitwise(got, fresh(*models[then]))
 
     def test_cached_arrays_are_read_only(self, rng):
         w, _, d, _ = _inputs(rng)
         base, psq = backend._kernel_terms(w, d)
         assert backend._terms[2] is base and backend._terms[3] is psq
-        for arr in backend._terms:
+        for arr in (base, psq):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
-def frozen(arr):
-    """A read-only copy that owns its data, as load_checkpoint gives."""
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
-
-
 class TestFrozenKeys:
-    """Read-only arrays that own their data are keyed by identity; any other
-    array by a kept copy and its values."""
+    """The memo keys every array by a weak reference and serves it only
+    while it is the same object and still frozen: read-only and owning its
+    data, as a model's weights and precision roots always are."""
 
     def test_frozen_arrays_are_keyed_by_identity(self, rng):
         w, mu, d, x = _inputs(rng)
@@ -338,15 +329,18 @@ class TestFrozenKeys:
             assert backend._terms is memo  # a hit
 
     @pytest.mark.parametrize("where", ["weights", "precision_roots"])
-    def test_read_only_view_of_a_writeable_base_is_compared_by_value(self, rng, where):
+    def test_read_only_view_of_a_writeable_base_misses(self, rng, where):
+        # A write through the base would change the view, so it is never
+        # served from the memo and never stale.
         w, mu, d, x = _inputs(rng)
-        owner = w if where == "weights" else d
+        owner = (w if where == "weights" else d).copy()
         view = owner.view()
         view.setflags(write=False)
         args = (view, mu, d, x[:1]) if where == "weights" else (w, mu, view, x[:1])
         before = backend.log_joints(*args)
-        kept = backend._terms[0 if where == "weights" else 1]
-        assert type(kept) is np.ndarray and kept is not view
+        memo = backend._terms
+        assert_bitwise(backend.log_joints(*args), before)
+        assert backend._terms is not memo  # a miss, though nothing changed
         owner[[0, 1]] = owner[[1, 0]]  # a write through the base
         got = backend.log_joints(*args)
         assert not np.array_equal(got, before)
@@ -375,10 +369,11 @@ class TestFrozenKeys:
         assert_bitwise(backend.log_joints(w, mu, d, x[:1]), fresh(w, mu, d, x[:1]))
 
     def test_equal_values_of_the_other_kind_miss(self, rng):
-        # A frozen array is served only by its own key, a writeable one only
-        # by a kept copy: either way round the entry is made afresh.
+        # An entry serves only the arrays it was made from: an equal copy,
+        # frozen or writeable, makes the entry afresh.
         w, mu, d, x = _inputs(rng)
-        for first, then in ((d, frozen(d)), (frozen(d), d)):
+        for first, then in ((d.copy(), frozen(d)), (frozen(d), d.copy()),
+                            (frozen(d), frozen(d))):
             want = fresh(w, mu, then, x[:1])
             backend.log_joints(w, mu, first, x[:1])
             memo = backend._terms
@@ -393,14 +388,15 @@ class TestFrozenKeys:
             models = [random_model(rng, K, D, tied=True), random_model(rng, K, D)]
             if K > 1:
                 models.append(random_model(rng, K, D))
-                models[-1].weights[::2] = 0.0  # -inf columns
-                models[-1].weights /= models[-1].weights.sum()
+                w = models[-1].weights.copy()
+                w[::2] = 0.0  # -inf columns
+                models[-1].weights = w / w.sum()
             x = random_data(rng, 30, D).samples
             for m in models:
                 for freeze in (False, True):
                     w, d = m.weights, m.precision_roots
-                    if freeze:
-                        w, d = frozen(w), frozen(d)
+                    if not freeze:
+                        w, d = w.copy(), d.copy()
                     for rows in (x[:1], x[7:8], x):
                         args = (w, m.centroids, d, rows)
                         want = fresh(*args)

@@ -416,9 +416,12 @@ class TestInspectAndErrors:
     def test_non_finite_parameters_rejected(self, tmp_path, capsys, monkeypatch,
                                             array):
         # Untied, so no tied-uniformity check can catch the NaN instead.
-        model = MixtureModel([0.1, 0.2, 0.3, 0.4], np.arange(8.0).reshape(4, 2),
-                             np.ones((4, 2)))
-        getattr(model, array)[1] = np.nan
+        arrays = {"weights": np.array([0.1, 0.2, 0.3, 0.4]),
+                  "centroids": np.arange(8.0).reshape(4, 2),
+                  "precision_roots": np.ones((4, 2))}
+        arrays[array][1] = np.nan
+        model = MixtureModel(arrays["weights"], arrays["centroids"],
+                             arrays["precision_roots"])
         ckpt = Checkpoint(model, "max_component", GridTopology("2d", 4),
                           AnnealingSchedule(0.1, 0.01, 0, 10), None, 10, 1)
         bad = tmp_path / "nan.ckpt"

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     annealed_benchmark_config,
+    assert_frozen,
     four_cluster_data,
     plain_benchmark_config,
     random_model,
@@ -30,7 +31,7 @@ from somgmm.io import (
 from somgmm.model import DataSet, MixtureModel
 from somgmm.sombridge import SomView, som_update
 from somgmm.topology import AnnealingSchedule, GridTopology, build_kernel
-from somgmm.trainer import HistoryRow, TrainConfig, run
+from somgmm.trainer import HistoryRow, TrainConfig, make_state, run
 
 
 def make_idx_bytes(images: np.ndarray) -> bytes:
@@ -198,20 +199,22 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_loaded_weights_and_d_are_frozen(self, tmp_path, rng, tied):
-        # Read-only arrays that own their data: the kernel keys its terms by
-        # their identity.  The centroids stay writeable.
+        # Read-only arrays that own their data, like every model's: the
+        # kernel keys its terms by their identity.  The centroids stay
+        # writeable, and a copy or a resumed run shares the frozen arrays.
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._ckpt(rng, tied=tied))
-        m = load_checkpoint(path).model
-        for arr in (m.weights, m.precision_roots):
-            assert arr.flags.owndata and not arr.flags.writeable
-        assert m.centroids.flags.writeable
-        before = m.precision_roots.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            m.precision_roots[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            m.weights[0] = 0.5
-        assert m.precision_roots.tobytes() == before
+        ckpt = load_checkpoint(path)
+        m = ckpt.model
+        assert_frozen(m)
+        assert m.weights.base is None and m.precision_roots.base is None
+        cfg = TrainConfig("smoothed", 4, 10, ckpt.eps_schedule, ckpt.sigma_schedule,
+                          tied_spherical=tied, seed=3)
+        state = make_state(cfg, DataSet(rng.normal(size=(5, m.dim))), resume={
+            "model": m, "t": 0, "rng_state": np.random.default_rng(3).bit_generator.state})
+        for copy in (m.copy(), state.model):
+            assert_frozen(copy)
+            assert copy.weights is m.weights and copy.precision_roots is m.precision_roots
 
     def test_som_update_on_a_loaded_model(self, tmp_path, rng):
         ckpt = self._ckpt(rng, tied=True)

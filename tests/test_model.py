@@ -1,16 +1,19 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_data, random_model
+from conftest import assert_frozen, random_data, random_model
 from somgmm.exceptions import DataError, UsageError
 from somgmm.model import (
     DataSet,
     MixtureModel,
     component_log_density,
     full_log_likelihood,
+    log_joint_matrix,
     max_component_log_likelihood,
     responsibilities,
     smoothed_log_likelihood,
@@ -250,3 +253,67 @@ def test_model_invariants_enforced():
         MixtureModel(
             [0.5, 0.5], [[0.0], [1.0]], [[1.0], [2.0]], tied_spherical=True
         ).validate()
+
+
+class TestFrozenArrays:
+    """A model's weights and precision roots are frozen on every assignment,
+    the constructor's included: a frozen array is kept as it is, anything
+    else is copied, so no write to the caller's arrays reaches the model."""
+
+    def test_constructed_from_lists_arrays_and_read_only_views(self):
+        w, mu, d = np.array([0.25, 0.75]), np.zeros((2, 3)), np.ones((2, 3))
+        w_base, d_base = np.array([0.25, 0.0, 0.75]), np.ones((2, 6))
+        w_view, d_view = w_base[::2], d_base[:, ::2]
+        for view in (w_view, d_view):
+            view.setflags(write=False)
+        models = [MixtureModel(w.tolist(), mu.tolist(), d.tolist()),
+                  MixtureModel(w, mu, d), MixtureModel(w_view, mu, d_view)]
+        for m in models:
+            assert_frozen(m)
+            assert m.weights is not w and m.precision_roots is not d
+        w[0], d[0, 0] = 0.5, 2.0
+        w_base[0], d_base[0, 0] = 0.5, 2.0
+        for m in models:
+            assert m.weights.tolist() == [0.25, 0.75]
+            assert np.all(m.precision_roots == 1.0)
+
+    def test_frozen_array_is_kept_as_is(self, rng):
+        m = random_model(rng, 3, 2)
+        again = MixtureModel(m.weights, m.centroids, m.precision_roots)
+        assert again.weights is m.weights
+        assert again.precision_roots is m.precision_roots
+
+    def test_attribute_assignment(self, rng):
+        m = random_model(rng, 3, 2)
+        w, d = np.array([0.2, 0.3, 0.5]), np.full((3, 2), 1.5)
+        m.weights, m.precision_roots = w, d
+        assert_frozen(m)
+        assert w.flags.writeable and d.flags.writeable
+        w[0], d[0, 0] = 0.9, 9.0
+        assert m.weights.tolist() == [0.2, 0.3, 0.5]
+        assert np.all(m.precision_roots == 1.5)
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights += 0.0
+        with pytest.raises(UsageError, match="2-dimensional"):
+            m.precision_roots = np.ones(3)
+
+    def test_pickle_and_deepcopy(self, rng):
+        m = random_model(rng, 3, 2)
+        for c in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert_frozen(c)
+            for name in ("weights", "centroids", "precision_roots"):
+                assert getattr(c, name).tobytes() == getattr(m, name).tobytes()
+
+    def test_copy_shares_the_frozen_arrays_and_their_terms(self, rng, fresh_terms_calls):
+        m = random_model(rng, 5, 3)
+        x = DataSet(rng.normal(size=(4, 3)))
+        want = log_joint_matrix(x, m)
+        assert len(fresh_terms_calls) == 1
+        c = m.copy()
+        assert_frozen(c)
+        assert c.weights is m.weights and c.precision_roots is m.precision_roots
+        assert c.centroids is not m.centroids
+        assert c.centroids.tobytes() == m.centroids.tobytes()
+        got = log_joint_matrix(x, c)
+        assert len(fresh_terms_calls) == 1
+        assert got.tobytes() == want.tobytes()

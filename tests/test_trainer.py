@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     annealed_benchmark_config,
+    assert_frozen,
     four_cluster_data,
     numeric_grad,
     plain_benchmark_config,
@@ -19,6 +20,7 @@ from somgmm.exceptions import DataError, NumericsError, UsageError
 from somgmm.model import (
     D_MAX,
     D_MIN,
+    WEIGHT_FLOOR,
     DataSet,
     MixtureModel,
     component_log_density,
@@ -107,9 +109,9 @@ class TestGradExact:
         batch = random_data(rng, 6, 2)
         loss = lambda: full_log_likelihood(batch, m)
         gmu, gd, gpi = grad_exact(batch, m)
-        assert np.allclose(gmu, numeric_grad(loss, m.centroids), rtol=1e-4, atol=1e-7)
-        assert np.allclose(gd, numeric_grad(loss, m.precision_roots), rtol=1e-4, atol=1e-7)
-        assert np.allclose(gpi, numeric_grad(loss, m.weights), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gmu, numeric_grad(loss, m, "centroids"), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gd, numeric_grad(loss, m, "precision_roots"), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gpi, numeric_grad(loss, m, "weights"), rtol=1e-4, atol=1e-7)
 
 
 def n_axis_gradients(batch, model, kernel):
@@ -175,7 +177,9 @@ class TestGradSmoothed:
         m = random_model(rng, K, D, tied=kind == "tied")
         if kind == "zero_weight":
             # A -inf joint, and a weight gradient of 0 from _safe_ratio.
-            m.weights[rng.integers(K)] = 0.0
+            w = m.weights.copy()
+            w[rng.integers(K)] = 0.0
+            m.weights = w
         return m, kernel, random_data(rng, 1, D)
 
     @pytest.mark.parametrize("kind", ["identity", "annealed", "zero_weight", "tied",
@@ -239,9 +243,9 @@ class TestGradSmoothed:
                 break
         loss = lambda: smoothed_log_likelihood(batch, m, kernel)
         gmu, gd, gpi = grad_smoothed(batch, m, kernel)
-        assert np.allclose(gmu, numeric_grad(loss, m.centroids), rtol=1e-4, atol=1e-7)
-        assert np.allclose(gd, numeric_grad(loss, m.precision_roots), rtol=1e-4, atol=1e-7)
-        assert np.allclose(gpi, numeric_grad(loss, m.weights), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gmu, numeric_grad(loss, m, "centroids"), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gd, numeric_grad(loss, m, "precision_roots"), rtol=1e-4, atol=1e-7)
+        assert np.allclose(gpi, numeric_grad(loss, m, "weights"), rtol=1e-4, atol=1e-7)
 
     def test_single_component_solution_gradients_vanish(self):
         rng = np.random.default_rng(4)
@@ -267,19 +271,19 @@ class TestEnforceConstraints:
     def test_normalization(self):
         m = MixtureModel([0.5, 0.5], [[0.0], [1.0]], [[1.0], [1.0]])
         m.weights = np.array([2.0, 2.0])
-        enforce_constraints(m)
+        enforce_constraints(m, m.precision_roots, m.weights)
         assert np.allclose(m.weights, [0.5, 0.5], atol=1e-15)
 
     def test_idempotent_on_valid_weights(self, rng):
         m = random_model(rng, 5, 2)
         before = m.weights.copy()
-        enforce_constraints(m)
+        enforce_constraints(m, m.precision_roots, m.weights)
         assert np.all(np.abs(m.weights - before) < 1e-15)
 
     def test_precision_clamp(self):
         m = MixtureModel([1.0], [[0.0]], [[1.0]])
         m.precision_roots = np.array([[1e9]])
-        enforce_constraints(m)
+        enforce_constraints(m, m.precision_roots, m.weights)
         assert m.precision_roots[0, 0] == 1e3
 
     def test_tied_model_left_as_is(self):
@@ -289,8 +293,156 @@ class TestEnforceConstraints:
         m.weights = np.array([0.6, 0.4])
         m.precision_roots = np.array([[1e9], [2.0]])
         want = m.copy()
-        enforce_constraints(m)
+        enforce_constraints(m, m.precision_roots, m.weights)
         assert_same_bits(m, want)
+
+
+class TestFrozenModelArrays:
+    """Every model that training makes or steps holds frozen weights and
+    precision roots (see ``MixtureModel``)."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_init_model_and_make_state(self, rng, fresh_terms_calls, tied):
+        cfg = basic_config(K=4, tied_spherical=tied)
+        data = random_data(rng, 20, 3)
+        assert_frozen(init_model(cfg, np.random.default_rng(1), 3))
+        state = make_state(cfg, data)
+        assert_frozen(state.model)
+        m = state.model
+        backend_mod.log_joints(m.weights, m.centroids, m.precision_roots, data.samples[:1])
+        fresh_terms_calls.clear()
+        resumed = make_state(cfg, data, resume={
+            "model": m, "t": 0, "rng_state": state.rng.bit_generator.state})
+        # The resumed copy shares the frozen arrays, and their kernel terms.
+        assert_frozen(resumed.model)
+        assert resumed.model.weights is m.weights
+        assert resumed.model.precision_roots is m.precision_roots
+        assert resumed.model.centroids is not m.centroids
+        backend_mod.log_joints(m.weights, resumed.model.centroids, m.precision_roots,
+                               data.samples[:1])
+        assert fresh_terms_calls == []
+
+    @pytest.mark.parametrize("regime", ["exact", "max_component", "smoothed"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_untied_step(self, rng, regime, batch_size):
+        cfg = basic_config(regime, K=4, train_weights=True, train_precisions=True,
+                           batch_size=batch_size)
+        data = random_data(rng, 20, 3)
+        state = make_state(cfg, data)
+        w, d = state.model.weights, state.model.precision_roots
+        kept = w.tobytes(), d.tobytes()
+        sgd_step(state, DataSet(data.samples[:batch_size]), cfg)
+        assert_frozen(state.model)
+        assert state.model.weights is not w and state.model.precision_roots is not d
+        assert (w.tobytes(), d.tobytes()) == kept
+        assert state.model.weights.tobytes() != kept[0]
+
+    def test_enforce_constraints(self):
+        m = MixtureModel([0.5, 0.5], [[0.0], [1.0]], [[1e9], [1.0]])
+        enforce_constraints(m, m.precision_roots, m.weights)
+        assert_frozen(m)
+        assert m.precision_roots[0, 0] == D_MAX
+
+
+def in_place_apply(mu, d, w, train_precisions, train_weights, eps, gmu, gd, gpi):
+    """Oracle: the update as it was written in place on writeable arrays."""
+    mu += eps * gmu
+    if train_precisions:
+        d += eps * gd
+    if train_weights:
+        w += eps * gpi
+
+
+def in_place_constraints(d, w):
+    """Oracle: ``enforce_constraints`` as it was written in place."""
+    np.maximum(d, D_MIN, out=d)
+    np.minimum(d, D_MAX, out=d)
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    w /= np.add.reduce(w)
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    w /= np.add.reduce(w)
+
+
+def fp_errors(f, *args):
+    """Run f and return the floating-point errors it signalled, in order."""
+    seen = []
+    with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
+        f(*args)
+    return seen
+
+
+ROOTS = np.array([np.nan, 0.0, -0.0, D_MIN, D_MAX, np.nextafter(D_MIN, 0.0),
+                  np.nextafter(D_MIN, 1.0), np.nextafter(D_MAX, 0.0),
+                  np.nextafter(D_MAX, np.inf), 1e-9, 1e9, -1.0, 1.0, np.inf, -np.inf])
+
+
+def weights_summing_to(rng, K, target):
+    """Random non-negative weights whose ``np.add.reduce`` is ``target``."""
+    while True:
+        w = rng.uniform(0.0, 1.0, K)
+        w /= w.sum()
+        for _ in range(8):
+            total = np.add.reduce(w)
+            if total == target:
+                return w
+            w[-1] = np.nextafter(w[-1], target - total + w[-1])
+
+
+class TestFreshArrayUpdates:
+    """``_apply`` and ``enforce_constraints`` build new arrays; bit for bit,
+    and floating-point errors alike, they are the in-place oracles."""
+
+    def weight_cases(self, rng):
+        one = 1.0
+        for K in (1, 2, 5, 25):
+            for target in (np.nextafter(one, 0.0), one, np.nextafter(one, 2.0)):
+                yield weights_summing_to(rng, K, target)
+            w = rng.uniform(0.0, 1.0, K)
+            w[rng.random(K) < 0.5] = rng.choice([0.0, -0.0, 1e-12, WEIGHT_FLOOR,
+                                                 np.nextafter(WEIGHT_FLOOR, 0.0)])
+            yield w
+            if K > 1:
+                yield rng.choice([np.nan, 0.0, -0.0, 1e-300, 0.5, 2.0, np.inf], K)
+
+    def check(self, d, w, step=None):
+        m = MixtureModel(w, np.zeros(d.shape), d)
+        want_d, want_w, want_mu = d.copy(), w.copy(), np.zeros(d.shape)
+
+        def new():
+            if step is None:
+                enforce_constraints(m, m.precision_roots, m.weights)
+            else:
+                enforce_constraints(m, *trainer_mod._apply(m, step[0], *step[1:]))
+
+        def old():
+            if step is not None:
+                in_place_apply(want_mu, want_d, want_w, step[0].train_precisions,
+                               step[0].train_weights, *step[1:])
+            in_place_constraints(want_d, want_w)
+
+        assert fp_errors(new) == fp_errors(old)
+        for got, want in ((m.precision_roots, want_d), (m.weights, want_w),
+                          (m.centroids, want_mu)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_enforce_constraints(self, rng):
+        for w in self.weight_cases(rng):
+            K = w.size
+            d = rng.choice(ROOTS, (K, 3))
+            self.check(d, w)
+            self.check(rng.uniform(D_MIN, D_MAX, (K, 3)), w)
+
+    @pytest.mark.parametrize("train_precisions", [False, True])
+    @pytest.mark.parametrize("train_weights", [False, True])
+    def test_apply_then_enforce(self, rng, train_precisions, train_weights):
+        cfg = basic_config(train_precisions=train_precisions, train_weights=train_weights)
+        for w in self.weight_cases(rng):
+            K = w.size
+            d = rng.choice(ROOTS, (K, 3))
+            for eps in (0.05, 1e-3, 0.0):
+                grads = (rng.normal(size=(K, 3)), rng.choice(ROOTS, (K, 3)),
+                         rng.normal(size=K))
+                self.check(d, w, (cfg, eps, *grads))
 
 
 def tied_model(d, K=25, D=64):
@@ -345,16 +497,18 @@ class TestSettledRetie:
 
     def test_non_uniform(self, rng):
         m = tied_model(1.0)
-        m.precision_roots[...] = rng.uniform(0.5, 2.0, m.precision_roots.shape)
+        m.precision_roots = rng.uniform(0.5, 2.0, m.precision_roots.shape)
         for regime, batch_size in (("smoothed", 1), ("smoothed", 3), ("exact", 4)):
             assert_refused(m, "one shared precision root", regime, batch_size)
 
     def test_non_uniform_with_mean_at_first_entry(self):
         # d averages to d[0, 0] = v: the re-tie used to accept it silently.
         v = float.fromhex("0x1.5d58f88c4dcafp+1")
+        d = np.full((5, 5), v)
+        d[2, 1] += 0.29258146994545403
+        d[3, 4] -= 0.29258146994545403
         m = tied_model(v, K=5, D=5)
-        m.precision_roots[2, 1] += 0.29258146994545403
-        m.precision_roots[3, 4] -= 0.29258146994545403
+        m.precision_roots = d
         assert m.precision_roots.mean() == v
         assert_refused(m, "one shared precision root")
 
@@ -370,8 +524,10 @@ class TestSettledRetie:
         assert_refused(tied_model(v), "precision roots must lie")
 
     def test_nan(self):
+        d = np.ones((25, 64))
+        d[3, 5] = np.nan
         m = tied_model(1.0)
-        m.precision_roots[3, 5] = np.nan
+        m.precision_roots = d
         assert_refused(m, "finite")
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
@@ -465,9 +621,9 @@ class TestSgdStep:
         gmu, gd, gpi = grad_smoothed(batch, m0, kernel)
         expected = m0.copy()
         expected.centroids += eps * gmu
-        expected.precision_roots += eps * gd
-        expected.weights += eps * gpi
-        enforce_constraints(expected)
+        expected.precision_roots = expected.precision_roots + eps * gd
+        expected.weights = expected.weights + eps * gpi
+        enforce_constraints(expected, expected.precision_roots, expected.weights)
         sgd_step(state, batch, cfg)
         assert np.allclose(state.model.centroids, expected.centroids, rtol=1e-12)
         assert np.allclose(state.model.weights, expected.weights, rtol=1e-12)
@@ -529,21 +685,10 @@ def tied_step_reference(model, kernel, eps, x):
     neighborhood_pull(model.centroids, coeff, x - model.centroids)
 
 
-def clone(model):
-    """A copy of the model; precision roots held in a [:, ::2] view are
-    copied into one of the same strides."""
-    out = model.copy()
-    d = model.precision_roots
-    if d.strides != out.precision_roots.strides:
-        out.precision_roots = np.repeat(d, 2, axis=1)[:, ::2]
-        assert out.precision_roots.strides == d.strides
-    return out
-
-
 def tied_step(state, cfg, kernel, x):
-    """One sgd_step, compared bitwise with the reference step on a clone;
+    """One sgd_step, compared bitwise with the reference step on a copy;
     returns whether the step used the terms it found on the state."""
-    want = clone(state.model)
+    want = state.model.copy()
     before = state.tied_terms
     sgd_step(state, DataSet(x[None, :]), cfg)
     tied_step_reference(want, kernel, EPS, x)
@@ -650,7 +795,7 @@ class TestTiedTerms:
         for x in data.samples[:5]:
             tied_step(state, cfg, kernel, x)
         other = state.model.copy()
-        other.precision_roots[...] = 1.5
+        other.precision_roots = np.full((25, 64), 1.5)
         state.model = other
         assert not tied_step(state, cfg, kernel, data.samples[10])
         assert np.all(state.tied_terms[2] == 2.25) and state.tied_terms[4] == 2.25
@@ -792,7 +937,7 @@ class TestTiedWinnerGuard:
             K, D = int(rng.choice([4, 9, 25])), int(rng.choice([1, 2, 64, 784]))
             model, kernel, _, x = guard_case(rng, K, D)
             terms = tied_terms_of(model, K)
-            _, _, psq, base, p, rel, slack, _ = terms
+            psq, base, p, rel, slack = terms[2:7]
             g, diff = kernel.g, x - model.centroids
             lj = base - 0.5 * np.einsum("ki,ki->k", psq, diff * diff)
             scores = (np.maximum(lj, -1e300)[None, :] @ g.T)[0]
@@ -972,7 +1117,9 @@ class TestResumeModel:
     def test_non_uniform_tied_model(self, rng):
         cfg = basic_config(K=4, tied_spherical=True)
         m = random_model(rng, 4, 2, tied=True)
-        m.precision_roots[1, 0] *= 1.5
+        d = m.precision_roots.copy()
+        d[1, 0] *= 1.5
+        m.precision_roots = d
         with pytest.raises(UsageError, match="one shared precision root"):
             self.resume(cfg, m)
         m = random_model(rng, 4, 2, tied=True)
