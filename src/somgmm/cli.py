@@ -177,7 +177,7 @@ def _cmd_sample(args):
     if args.out:
         sio.save_csv(out, args.out)
     else:
-        sys.stdout.writelines(sio.csv_lines(drawn))
+        sio.write_csv(drawn, sys.stdout)
     return 0
 
 

@@ -21,6 +21,13 @@ from somgmm.topology import AnnealingSchedule, GridTopology
 from test_io import make_idx_bytes
 
 
+def package_env():
+    """The environment for a child ``python -m somgmm`` that imports this
+    somgmm."""
+    path = [str(Path(somgmm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def write_training_setup(tmp_path, *, tied=True, seed=5, total_iters=600):
     """Small four-cluster CSV run; fast enough for several tests."""
     data_path = tmp_path / "train.csv"
@@ -300,6 +307,42 @@ class TestSample:
         assert cli.main(args) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
+    def test_split_stdout_matches_file_bytes(self, trained, tmp_path, capsys,
+                                             monkeypatch):
+        # Three parts through a captured sys.stdout and through --out.
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sio, "MIN_PART_VALUES", 1)
+        out = tmp_path / "drawn.csv"
+        args = ["sample", "--model", str(trained / "out" / "model.ckpt"),
+                "-n", "40", "--seed", "8"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert cli.main(args) == 0
+        drawn = inference.sample(load_checkpoint(trained / "out" / "model.ckpt").model,
+                                 40, np.random.default_rng(8))
+        want = "".join(sio.csv_lines(drawn))
+        assert capsys.readouterr().out == out.read_text() == want
+
+    def test_python_dash_m_sample_at_split_size(self, tmp_path):
+        # 400 x 784 values fill two parts of MIN_PART_VALUES.
+        model = MixtureModel(np.full(4, 0.25),
+                             np.random.default_rng(9).normal(size=(4, 784)),
+                             np.random.default_rng(10).uniform(0.4, 2.5, (4, 784)))
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(ckpt, Checkpoint(model, "max_component", GridTopology("2d", 4),
+                                         AnnealingSchedule(0.1, 0.01, 0, 10), None, 10, 1))
+        drawn = inference.sample(load_checkpoint(ckpt).model, 400, np.random.default_rng(2))
+        want = "".join(sio.csv_lines(drawn)).encode()
+        env = package_env()
+        argv = [sys.executable, "-m", "somgmm", "sample", "--model", str(ckpt),
+                "-n", "400", "--seed", "2"]
+        out = tmp_path / "drawn.csv"
+        to_file = subprocess.run(argv + ["--out", str(out)], env=env,
+                                 capture_output=True, timeout=120)
+        to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert to_stdout.stdout == out.read_bytes() == want
+
     @pytest.mark.parametrize("n, seed", [("0", "1"), ("3", "-1"),
                                          ("99999999999999999999", "1")],
                              ids=["count", "seed", "oversized"])
@@ -362,8 +405,7 @@ class TestInspectAndErrors:
 
     @pytest.mark.parametrize("module", ["somgmm", "somgmm.cli"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):
-        path = [str(Path(somgmm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env = package_env()
         for args, code, message in (
                 (["inspect", "--model", str(tmp_path / "nope.ckpt")], 2, "data error"),
                 ([], 1, "usage error")):

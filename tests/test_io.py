@@ -1,5 +1,9 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from conftest import (
     plain_benchmark_config,
     random_model,
 )
+from somgmm import cli, inference, io as sio
 from somgmm.cli import CONFIG_PARSERS, to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
@@ -26,6 +31,7 @@ from somgmm.io import (
     load_idx,
     save_checkpoint,
     save_csv,
+    write_csv,
     write_idx,
 )
 from somgmm.model import DataSet, MixtureModel
@@ -166,6 +172,161 @@ class TestCsv:
                                   rng.normal(size=(4, 8))])
         want = [",".join(repr(float(v)) for v in row) + "\n" for row in samples]
         assert list(csv_lines(samples)) == want
+
+
+def serial_csv(samples):
+    return "".join(csv_lines(samples))
+
+
+def written_csv(samples):
+    buf = io.StringIO()
+    write_csv(samples, buf)
+    return buf.getvalue()
+
+
+def force_parts(monkeypatch, cpus, min_values=1):
+    monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sio, "MIN_PART_VALUES", min_values)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper process that write_csv starts, in order."""
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(sio.subprocess, "Popen", spy)
+    return started
+
+
+class TestParallelCsv:
+    """write_csv writes the bytes of csv_lines however many parts it formats
+    at the same time and whether or not its helpers run."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_bytes_match_csv_lines(self, monkeypatch, helpers, cpus, n, dim):
+        force_parts(monkeypatch, cpus)
+        samples = np.random.default_rng(n * dim).normal(size=(n, dim))
+        assert written_csv(samples) == serial_csv(samples)
+        assert len(helpers) == min(cpus, n) - 1
+        assert all(proc.returncode == 0 for proc in helpers)
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_special_values(self, monkeypatch, helpers, cpus):
+        force_parts(monkeypatch, cpus)
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1e300, -1e-7, np.inf, -np.inf, np.nan]
+        samples = np.array([np.roll(values, k) for k in range(len(values))])
+        assert written_csv(samples) == serial_csv(samples)
+        assert len(helpers) == cpus - 1
+
+    def test_strided_rows(self, monkeypatch, helpers):
+        force_parts(monkeypatch, 3)
+        base = np.random.default_rng(5).normal(size=(10, 12))
+        for samples in (base[::2, ::3], base.T, np.asfortranarray(base)):
+            assert written_csv(samples) == serial_csv(samples)
+        assert len(helpers) == 6
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        model = random_model(np.random.default_rng(11), 25, 784)
+        samples = inference.sample(model, 2000, np.random.default_rng(12))
+        return samples, serial_csv(samples)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sampled_digits_size(self, monkeypatch, helpers, drawn, cpus):
+        # The real MIN_PART_VALUES: 2000 x 784 values fill three parts.
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+        samples, want = drawn
+        assert written_csv(samples) == want
+        assert len(helpers) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n, dim", [(1, 1), (335, 784), (336, 784), (2000, 784),
+                                        (2 ** 18, 1), (2 ** 18 - 1, 1), (9, 2 ** 17)])
+    def test_parts_are_contiguous_and_never_small(self, monkeypatch, cpus, n, dim):
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+        bounds = sio._part_bounds(np.empty((n, dim)))
+        parts = len(bounds) - 1
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert 1 <= parts <= cpus
+        sizes = np.diff(bounds) * dim
+        assert parts == 1 or sizes.min() >= sio.MIN_PART_VALUES
+        if parts < cpus:  # one more part would be too small
+            assert n // (parts + 1) * dim < sio.MIN_PART_VALUES
+
+    @pytest.mark.parametrize("samples", [np.arange(12).reshape(6, 2),
+                                         np.linspace(0, 1, 12, dtype=np.float32).reshape(6, 2),
+                                         np.ones((6, 0))])
+    def test_other_arrays_take_one_part(self, monkeypatch, helpers, samples):
+        force_parts(monkeypatch, 3)
+        assert written_csv(samples) == serial_csv(samples)
+        assert helpers == []
+
+    def test_helper_that_cannot_start(self, monkeypatch):
+        force_parts(monkeypatch, 3)
+
+        def refuse(*args, **kwargs):
+            raise OSError("no interpreter")
+
+        monkeypatch.setattr(sio.subprocess, "Popen", refuse)
+        samples = np.random.default_rng(1).normal(size=(8, 3))
+        assert written_csv(samples) == serial_csv(samples)
+        assert_no_child()
+
+    def test_empty_executable(self, monkeypatch, helpers):
+        force_parts(monkeypatch, 3)
+        monkeypatch.setattr(sys, "executable", "")
+        samples = np.random.default_rng(2).normal(size=(8, 3))
+        assert written_csv(samples) == serial_csv(samples)
+        assert helpers == []
+        assert_no_child()
+
+    def test_helper_that_fails(self, monkeypatch, helpers):
+        force_parts(monkeypatch, 3)
+        monkeypatch.setattr(sio, "_FORMATTER",
+                            "import sys; sys.stdout.write('junk'); sys.exit(3)")
+        samples = np.random.default_rng(3).normal(size=(8, 3))
+        assert written_csv(samples) == serial_csv(samples)
+        assert [proc.returncode for proc in helpers] == [3, 3]
+        assert_no_child()
+
+    def test_interrupt_kills_and_reaps_every_helper(self, monkeypatch, helpers):
+        force_parts(monkeypatch, 3)
+        monkeypatch.setattr(sio, "_FORMATTER", "import time; time.sleep(600)")
+
+        class Interrupted(io.StringIO):
+            def writelines(self, lines):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(np.ones((8, 3)), Interrupted())
+        assert len(helpers) == 2
+        assert all(proc.returncode is not None for proc in helpers)
+        assert_no_child()
+
+    def test_unwritable_out_starts_no_helper(self, monkeypatch, helpers, tmp_path, capsys):
+        force_parts(monkeypatch, 2)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, TestCheckpoint()._ckpt(np.random.default_rng(4)))
+        argv = ["sample", "--model", str(ckpt), "-n", "50", "--seed", "1", "--out"]
+        assert cli.main(argv + [str(tmp_path / "missing" / "x.csv")]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert helpers == []
+        # The same command into a writable path does start one.
+        assert cli.main(argv + [str(tmp_path / "x.csv")]) == 0
+        assert len(helpers) == 1 and helpers[0].returncode == 0
 
 
 class TestCheckpoint:
