@@ -4,14 +4,16 @@ centroid sheets, schedule traces and the flat key=value run configuration.
 Parallel CSV writer: ``repr`` of each float is what writing a CSV costs, and
 no single-thread writer of the same bytes is faster (ROADMAP, "Closed without
 a change").  ``write_csv`` therefore splits the rows into one contiguous part
-per usable CPU, each of at least ``MIN_PART_VALUES`` values.  This process
-formats part 0 straight into the output with ``csv_lines`` while a helper
-interpreter formats each other part; the helpers' text is then copied in
-part order, so the bytes are those of ``csv_lines`` over all rows.  A helper
-gets its rows as raw float64 in an anonymous temporary file on stdin and
-writes its lines to another one on stdout.  A part whose helper cannot start
-or exits non-zero is formatted here instead, and every helper is killed and
-reaped before an exception leaves ``write_csv``.
+per usable CPU, at most ``MAX_PARTS``, each of at least ``MIN_PART_VALUES``
+values.  This process formats part 0 straight into the output with
+``csv_lines`` while a helper interpreter formats each other part; the
+helpers' text is then copied in part order, so the bytes are those of
+``csv_lines`` over all rows.  A helper gets its rows as raw float64 in an
+anonymous temporary file on stdin and writes its lines to another one on
+stdout, reading and formatting whole rows of about ``_BLOCK_VALUES``
+values at a time.  A part whose helper cannot start or exits non-zero is
+formatted here instead, and every helper is killed and reaped before
+``write_csv`` returns or raises.
 
 The helper is a fresh ``python -I -S`` running standard-library code only.
 It starts in under 0.1 s; one that imported ``somgmm`` would pull in scipy
@@ -143,16 +145,25 @@ def csv_lines(samples: np.ndarray):
 # helper's start of about 80 ms.
 MIN_PART_VALUES = 2 ** 17
 
+# Most parts in write_csv's output: the gain was measured with 2 CPUs only,
+# and the CPU count ignores a CPU quota.
+MAX_PARTS = 2
+
+# Values a helper reads and formats at a time (whole rows, at least one).
+_BLOCK_VALUES = 2 ** 16
+
 # The helper interpreter's program: float64 rows of argv[1] values on stdin,
-# their csv_lines on stdout.
+# argv[2] rows at a time, their csv_lines on stdout.
 _FORMATTER = """\
 import sys
 from array import array
-d = int(sys.argv[1])
-values = array("d", open(0, "rb").read()).tolist()
+d, rows = int(sys.argv[1]), int(sys.argv[2])
+src = open(0, "rb")
 with open(1, "w", encoding="ascii", newline="", closefd=False) as out:
-    out.writelines(",".join(map(repr, values[i:i + d])) + "\\n"
-                   for i in range(0, len(values), d))
+    while block := src.read(8 * d * rows):
+        values = array("d", block).tolist()
+        out.writelines(",".join(map(repr, values[i:i + d])) + "\\n"
+                       for i in range(0, len(values), d))
 """
 
 
@@ -164,64 +175,63 @@ def _usable_cpus():
 
 
 def _part_bounds(samples):
-    """Row bounds of write_csv's parts: one per usable CPU, none smaller than
-    MIN_PART_VALUES values; a single part unless ``samples`` are float64
-    rows, the only values a helper formats."""
+    """Row bounds of write_csv's parts: one per usable CPU, at most
+    MAX_PARTS, none smaller than MIN_PART_VALUES values; a single part
+    unless ``samples`` are float64 rows, the only values a helper formats."""
     n = len(samples)
     if samples.ndim != 2 or samples.dtype != np.float64 or samples.shape[1] == 0:
         return [0, n]
     min_rows = -(-MIN_PART_VALUES // samples.shape[1])
-    parts = max(1, min(_usable_cpus(), n // min_rows))
+    parts = max(1, min(_usable_cpus(), MAX_PARTS, n // min_rows))
     return [n * i // parts for i in range(parts + 1)]
 
 
+def _kill_and_reap(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+
+
 def _start_helper(rows, stack):
-    """Start a helper interpreter on ``rows``; return it and the anonymous
-    file it writes to, or None when no interpreter can start."""
+    """Start a helper interpreter on ``rows``, to be killed and reaped when
+    ``stack`` closes; return it and the anonymous file it writes to, or None
+    when no interpreter can start."""
     if not sys.executable:
         return None
+    d = rows.shape[1]
     try:
         src = stack.enter_context(tempfile.TemporaryFile())
         rows.tofile(src)
         src.seek(0)
         dst = stack.enter_context(tempfile.TemporaryFile())
         proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", "-c", _FORMATTER, str(rows.shape[1])],
+            [sys.executable, "-I", "-S", "-c", _FORMATTER, str(d),
+             str(max(1, _BLOCK_VALUES // d))],
             stdin=src, stdout=dst, stderr=subprocess.DEVNULL)
     except OSError:  # no temporary file or no interpreter
         return None
+    stack.callback(_kill_and_reap, proc)
     return proc, dst
 
 
 def write_csv(samples, fh):
     """Write ``csv_lines(samples)`` to the text stream ``fh``, formatting
     the parts of ``_part_bounds`` at the same time (see the module
-    docstring); with one part this is ``fh.writelines(csv_lines(samples))``."""
+    docstring)."""
     samples = np.asarray(samples)
     bounds = _part_bounds(samples)
-    parts = list(zip(bounds[:-1], bounds[1:]))
-    if len(parts) == 1:
-        fh.writelines(csv_lines(samples))
-        return
+    others = list(zip(bounds[1:-1], bounds[2:]))
     with ExitStack() as stack:
-        helpers = []
-        try:
-            for lo, hi in parts[1:]:
-                helpers.append(_start_helper(samples[lo:hi], stack))
-            fh.writelines(csv_lines(samples[:bounds[1]]))
-            for (lo, hi), helper in zip(parts[1:], helpers):
-                if helper is None or helper[0].wait() != 0:
-                    fh.writelines(csv_lines(samples[lo:hi]))
-                    continue
-                dst = helper[1]
-                dst.seek(0)
-                while chunk := dst.read(1 << 20):
-                    fh.write(chunk.decode("ascii"))
-        finally:
-            for proc, _ in filter(None, helpers):
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
+        helpers = [_start_helper(samples[lo:hi], stack) for lo, hi in others]
+        fh.writelines(csv_lines(samples[:bounds[1]]))
+        for (lo, hi), helper in zip(others, helpers):
+            if helper is None or helper[0].wait() != 0:
+                fh.writelines(csv_lines(samples[lo:hi]))
+                continue
+            dst = helper[1]
+            dst.seek(0)
+            while chunk := dst.read(1 << 20):
+                fh.write(chunk.decode("ascii"))
 
 
 def save_csv(data: DataSet, path):

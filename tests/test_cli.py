@@ -311,6 +311,7 @@ class TestSample:
                                              monkeypatch):
         # Three parts through a captured sys.stdout and through --out.
         monkeypatch.setattr(sio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sio, "MAX_PARTS", 3)
         monkeypatch.setattr(sio, "MIN_PART_VALUES", 1)
         out = tmp_path / "drawn.csv"
         args = ["sample", "--model", str(trained / "out" / "model.ckpt"),

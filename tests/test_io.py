@@ -186,6 +186,7 @@ def written_csv(samples):
 
 def force_parts(monkeypatch, cpus, min_values=1):
     monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sio, "MAX_PARTS", cpus)
     monkeypatch.setattr(sio, "MIN_PART_VALUES", min_values)
 
 
@@ -224,6 +225,21 @@ class TestParallelCsv:
         assert_no_child()
 
     @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n, dim", [(61, 1), (37, 3), (11, 10)])
+    def test_parts_span_several_blocks(self, monkeypatch, helpers, cpus, n, dim):
+        # 8, 2 and 1 rows a block: every helper's part spans several blocks,
+        # and some parts are not a whole number of blocks.
+        force_parts(monkeypatch, cpus)
+        monkeypatch.setattr(sio, "_BLOCK_VALUES", 8)
+        samples = np.random.default_rng(n + dim).normal(size=(n, dim))
+        assert written_csv(samples) == serial_csv(samples)
+        assert len(helpers) == cpus - 1
+        rows = max(1, 8 // dim)
+        assert [proc.args[-2:] for proc in helpers] == [[str(dim), str(rows)]] * (cpus - 1)
+        sizes = np.diff(sio._part_bounds(samples))[1:]
+        assert sizes.min() > 2 * rows and (rows == 1 or any(sizes % rows))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
     def test_special_values(self, monkeypatch, helpers, cpus):
         force_parts(monkeypatch, cpus)
         values = [-0.0, 5e-324, 1e-05, 1e16, 1e300, -1e-7, np.inf, -np.inf, np.nan]
@@ -244,27 +260,39 @@ class TestParallelCsv:
         samples = inference.sample(model, 2000, np.random.default_rng(12))
         return samples, serial_csv(samples)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_sampled_digits_size(self, monkeypatch, helpers, drawn, cpus):
-        # The real MIN_PART_VALUES: 2000 x 784 values fill three parts.
+    @pytest.mark.parametrize("cpus, max_parts", [(2, 2), (3, 3), (64, 2)])
+    def test_sampled_digits_size(self, monkeypatch, helpers, drawn, cpus, max_parts):
+        # The real MIN_PART_VALUES and block size: 2000 x 784 values fill
+        # three parts.
         monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sio, "MAX_PARTS", max_parts)
         samples, want = drawn
         assert written_csv(samples) == want
-        assert len(helpers) == cpus - 1
+        assert len(helpers) == min(cpus, max_parts) - 1
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("max_parts", [2, 64])
     @pytest.mark.parametrize("n, dim", [(1, 1), (335, 784), (336, 784), (2000, 784),
                                         (2 ** 18, 1), (2 ** 18 - 1, 1), (9, 2 ** 17)])
-    def test_parts_are_contiguous_and_never_small(self, monkeypatch, cpus, n, dim):
+    def test_parts_are_contiguous_and_never_small(self, monkeypatch, cpus, max_parts,
+                                                  n, dim):
         monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sio, "MAX_PARTS", max_parts)
         bounds = sio._part_bounds(np.empty((n, dim)))
         parts = len(bounds) - 1
+        most = min(cpus, max_parts)
         assert bounds[0] == 0 and bounds[-1] == n
-        assert 1 <= parts <= cpus
+        assert 1 <= parts <= most
         sizes = np.diff(bounds) * dim
         assert parts == 1 or sizes.min() >= sio.MIN_PART_VALUES
-        if parts < cpus:  # one more part would be too small
+        if parts < most:  # one more part would be too small
             assert n // (parts + 1) * dim < sio.MIN_PART_VALUES
+
+    def test_at_most_two_parts(self, monkeypatch):
+        # The only CPU count the gain was measured with.
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: 64)
+        assert sio.MAX_PARTS == 2
+        assert sio._part_bounds(np.empty((2000, 784))) == [0, 1000, 2000]
 
     @pytest.mark.parametrize("samples", [np.arange(12).reshape(6, 2),
                                          np.linspace(0, 1, 12, dtype=np.float32).reshape(6, 2),
@@ -314,6 +342,26 @@ class TestParallelCsv:
             write_csv(np.ones((8, 3)), Interrupted())
         assert len(helpers) == 2
         assert all(proc.returncode is not None for proc in helpers)
+        assert_no_child()
+
+    def test_interrupt_while_starting_kills_and_reaps_the_started(self, monkeypatch,
+                                                                 helpers):
+        # The second helper's first temporary file is the third one made.
+        force_parts(monkeypatch, 3)
+        made = []
+        temporary_file = sio.tempfile.TemporaryFile
+
+        def interrupt_third():
+            made.append(None)
+            if len(made) == 3:
+                raise KeyboardInterrupt
+            return temporary_file()
+
+        monkeypatch.setattr(sio.tempfile, "TemporaryFile", interrupt_third)
+        monkeypatch.setattr(sio, "_FORMATTER", "import time; time.sleep(600)")
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(np.ones((8, 3)), io.StringIO())
+        assert len(helpers) == 1 and helpers[0].returncode is not None
         assert_no_child()
 
     def test_unwritable_out_starts_no_helper(self, monkeypatch, helpers, tmp_path, capsys):
