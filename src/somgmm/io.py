@@ -5,15 +5,16 @@ Parallel CSV writer: ``repr`` of each float is what writing a CSV costs, and
 no single-thread writer of the same bytes is faster (ROADMAP, "Closed without
 a change").  ``write_csv`` therefore splits the rows into one contiguous part
 per usable CPU, at most ``MAX_PARTS``, each of at least ``MIN_PART_VALUES``
-values.  This process formats part 0 straight into the output with
-``csv_lines`` while a helper interpreter formats each other part; the
-helpers' text is then copied in part order, so the bytes are those of
-``csv_lines`` over all rows.  A helper gets its rows as raw float64 in an
-anonymous temporary file on stdin and writes its lines to another one on
-stdout, reading and formatting whole rows of about ``_BLOCK_VALUES``
-values at a time.  A part whose helper cannot start or exits non-zero is
-formatted here instead, and every helper is killed and reaped before
-``write_csv`` returns or raises.
+values; the CPU count (``_usable_cpus``) and the cap are ``backend``'s,
+which ``log_joints`` uses for its blocks too.  This process formats part 0
+straight into the output with ``csv_lines`` while a helper interpreter
+formats each other part; the helpers' text is then copied in part order,
+so the bytes are those of ``csv_lines`` over all rows.  A helper gets its
+rows as raw float64 in an anonymous temporary file on stdin and writes its
+lines to another one on stdout, reading and formatting whole rows of about
+``_BLOCK_VALUES`` values at a time.  A part whose helper cannot start or
+exits non-zero is formatted here instead, and every helper is killed and
+reaped before ``write_csv`` returns or raises.
 
 The helper is a fresh ``python -I -S`` running standard-library code only.
 It starts in under 0.1 s; one that imported ``somgmm`` would pull in scipy
@@ -26,7 +27,6 @@ import hashlib
 import io as _io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backend import MAX_PARTS, _usable_cpus
 from .exceptions import DataError, UsageError
 from .model import DataSet, MixtureModel, _trusted_dataset
 from .topology import AnnealingSchedule, GridTopology
@@ -77,8 +78,7 @@ def load_idx(path) -> DataSet:
     n = dims[0] if ndim > 1 else count
     # Bytes divided by 255 are finite, and the header checks above leave at
     # least one row and one column, so the DataSet checks are skipped.
-    samples = pixels.reshape(n, -1).astype(np.float64)
-    samples /= 255.0
+    samples = np.divide(pixels.reshape(n, -1), 255.0, dtype=np.float64)
     return _trusted_dataset(samples, {"source": str(path), "format": "idx",
                                       "idx_dims": dims, "normalization": "byte/255"})
 
@@ -145,10 +145,6 @@ def csv_lines(samples: np.ndarray):
 # helper's start of about 80 ms.
 MIN_PART_VALUES = 2 ** 17
 
-# Most parts in write_csv's output: the gain was measured with 2 CPUs only,
-# and the CPU count ignores a CPU quota.
-MAX_PARTS = 2
-
 # Values a helper reads and formats at a time (whole rows, at least one).
 _BLOCK_VALUES = 2 ** 16
 
@@ -165,13 +161,6 @@ with open(1, "w", encoding="ascii", newline="", closefd=False) as out:
         out.writelines(",".join(map(repr, values[i:i + d])) + "\\n"
                        for i in range(0, len(values), d))
 """
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _part_bounds(samples):

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -402,3 +404,125 @@ class TestFrozenKeys:
                         want = fresh(*args)
                         for _ in range(2):
                             assert_bitwise(backend.log_joints(*args), want)
+
+
+def serial(monkeypatch, *args):
+    """log_joints on one usable CPU: every block in the calling thread."""
+    with monkeypatch.context() as m:
+        m.setattr(backend, "_usable_cpus", lambda: 1)
+        return backend.log_joints(*args)
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+
+def no_cpu_count():
+    raise AssertionError("the CPUs were counted")
+
+
+class TestParallelBlocks:
+    """``log_joints`` runs its blocks on up to MAX_PARTS threads with the
+    bits of one thread; CHUNK_ROWS = 8 gives many blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(backend, "CHUNK_ROWS", 8)
+
+    def inputs(self, rng):
+        """N a multiple of the block, N with a tail block, zero-weight
+        columns and separated clusters, whose rows the guard evaluates
+        again."""
+        w, mu, d, x = _inputs(rng, K=4, D=5, N=41)
+        zero = np.array([0.0, 0.7, 0.0, 0.3])
+        yield from [(w, mu, d, x[:9]), (w, mu, d, x[:40]), (w, mu, d, x),
+                    (zero, mu, d, x), two_cluster_inputs(rng, 1e6, N=200),
+                    two_cluster_inputs(rng, 1e6, N=203)]
+
+    @pytest.mark.parametrize("cpus, max_parts", [(1, 2), (2, 2), (3, 2), (3, 3)])
+    def test_bitwise_serial(self, rng, monkeypatch, cpus, max_parts):
+        monkeypatch.setattr(backend, "MAX_PARTS", max_parts)
+        for args in self.inputs(rng):
+            want = serial(monkeypatch, *args)
+            monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+            assert_bitwise(backend.log_joints(*args), want)
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    def test_guard_rows_are_evaluated_in_workers(self, rng, monkeypatch, cpus):
+        # At most MAX_PARTS threads, the calling one included.
+        args = two_cluster_inputs(rng, 1e6, N=64)
+        threads = set()
+        single_row = backend._single_row
+
+        def recording(*a):
+            threads.add(threading.get_ident())
+            return single_row(*a)
+
+        monkeypatch.setattr(backend, "_single_row", recording)
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+        backend.log_joints(*args)
+        assert len(threads) == 2 and threading.get_ident() in threads
+
+    def test_worker_exception_propagates_and_no_thread_outlives(self, rng, monkeypatch):
+        args = two_cluster_inputs(rng, 1e6, N=64)
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        assert_bitwise(backend.log_joints(*args), serial(monkeypatch, *args))
+        assert threading.active_count() == before
+        single_row = backend._single_row
+
+        def fail_in_worker(*a):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("in a worker")
+            return single_row(*a)
+
+        monkeypatch.setattr(backend, "_single_row", fail_in_worker)
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            backend.log_joints(*args)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_one_row_or_one_block_starts_no_thread(self, rng, monkeypatch, n):
+        args = _inputs(rng, N=n)
+        want = serial(monkeypatch, *args)
+        monkeypatch.setattr(backend, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(backend, "_usable_cpus", no_cpu_count)
+        assert_bitwise(backend.log_joints(*args), want)
+
+    def overflow_inputs(self, rng):
+        """Rows of 1e300 and -1e300 in block 1, which a worker evaluates;
+        the row mean stays finite, so no other block overflows."""
+        w, mu, d, x = _inputs(rng, N=24)
+        x[9], x[10] = 1e300, -1e300
+        return w, mu, d, x
+
+    def test_caller_errstate_ignore(self, rng, monkeypatch):
+        args = self.overflow_inputs(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                want = serial(monkeypatch, *args)
+                monkeypatch.setattr(backend, "_usable_cpus", lambda: 2)
+                assert_bitwise(backend.log_joints(*args), want)
+
+    def test_caller_errstate_raise(self, rng, monkeypatch):
+        args = self.overflow_inputs(rng)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError) as want:
+                serial(monkeypatch, *args)
+            monkeypatch.setattr(backend, "_usable_cpus", lambda: 2)
+            with pytest.raises(FloatingPointError) as got:
+                backend.log_joints(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_caller_errstate_call(self, rng, monkeypatch):
+        args = self.overflow_inputs(rng)
+        seen = []
+        with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
+            want = serial(monkeypatch, *args)
+            want_seen, seen[:] = sorted(seen), []
+            monkeypatch.setattr(backend, "_usable_cpus", lambda: 2)
+            got = backend.log_joints(*args)
+        assert want_seen and sorted(seen) == want_seen
+        assert_bitwise(got, want)

@@ -16,7 +16,7 @@ from conftest import (
     plain_benchmark_config,
     random_model,
 )
-from somgmm import cli, inference, io as sio
+from somgmm import backend, cli, inference, io as sio
 from somgmm.cli import CONFIG_PARSERS, to_train_config
 from somgmm.exceptions import DataError, UsageError
 from somgmm.io import (
@@ -90,6 +90,16 @@ class TestIdx:
         assert data.samples.tobytes() == want.tobytes()
         assert data.meta == {"source": str(path), "format": "idx", "idx_dims": dims,
                              "normalization": "byte/255"}
+
+    def test_every_byte_scales_as_cast_then_divided(self, tmp_path):
+        # load_idx divides in one pass with a float64 loop; the bits are
+        # those of the cast followed by an in-place division.
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+        path = tmp_path / "bytes.idx"
+        path.write_bytes(make_idx_bytes(pixels))
+        want = pixels.reshape(16, -1).astype(np.float64)
+        want /= 255.0
+        assert load_idx(path).samples.tobytes() == want.tobytes()
 
     # The cases the tests below do not cover; with them every DataError of
     # load_idx is raised by some test.
@@ -293,6 +303,11 @@ class TestParallelCsv:
         monkeypatch.setattr(sio, "_usable_cpus", lambda: 64)
         assert sio.MAX_PARTS == 2
         assert sio._part_bounds(np.empty((2000, 784))) == [0, 1000, 2000]
+
+    def test_cpu_count_and_cap_are_the_kernels(self):
+        # One CPU count and one cap for both parallel paths.
+        assert sio._usable_cpus is backend._usable_cpus
+        assert sio.MAX_PARTS == backend.MAX_PARTS == 2
 
     @pytest.mark.parametrize("samples", [np.arange(12).reshape(6, 2),
                                          np.linspace(0, 1, 12, dtype=np.float32).reshape(6, 2),
