@@ -1,6 +1,15 @@
 """Energy-based prototype map as a first-class view of a tied-spherical
 mixture, plus an executable check that its energy is the smoothed loss up to
 an affine constant.
+
+The map's best-matching unit and update share the tied training step's
+code: ``bmu`` and ``som_update`` take x - mu once, through
+``backend._difference``, their winner from ``trainer._tied_winner`` (the
+exact argmin of the kernel-convolved squared distances) and
+``som_update`` its pull from ``trainer.neighborhood_pull``.  So an update
+is bitwise a tied single-sample SGD step under the eps/d^2 rate mapping,
+ties included.  ``_convolved_sq_distances`` is the reference formula
+behind ``som_energy`` and ``verify_equivalence``.
 """
 
 import math
@@ -12,7 +21,7 @@ from . import backend, model as mc
 from .exceptions import UsageError
 from .model import DataSet, MixtureModel, HALF_LOG_2PI
 from .topology import GridTopology, NeighborhoodKernel
-from .trainer import neighborhood_pull
+from .trainer import _tied_winner, neighborhood_pull
 
 
 class SomView:
@@ -67,15 +76,11 @@ def som_energy(data: DataSet, view: SomView) -> float:
 
 def bmu(x, view: SomView) -> int:
     """Best-matching unit: argmin of the kernel-convolved squared distance,
-    lowest index on ties.  Identity kernel gives the classic nearest
+    exact, lowest index on ties.  Identity kernel gives the classic nearest
     prototype."""
-    return _bmu(mc.as_vector(x, view.model), view)
-
-
-def _bmu(x: np.ndarray, view: SomView) -> int:
-    """The best-matching unit of an already checked vector."""
-    conv = _convolved_sq_distances(x[None, :], view)
-    return int(np.argmin(conv[0]))
+    x = mc.as_vector(x, view.model)
+    mu = view.prototypes
+    return _tied_winner(view.kernel.g, x, mu, backend._difference(x, mu))[0]
 
 
 def som_update(view: SomView, x, epsilon: float):
@@ -84,9 +89,10 @@ def som_update(view: SomView, x, epsilon: float):
     if not 0 <= epsilon < math.inf:
         raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
-    winner = _bmu(x, view)
-    coeff = epsilon * view.kernel.g[winner]
-    neighborhood_pull(view.prototypes, coeff, backend._difference(x, view.prototypes))
+    mu = view.prototypes
+    diff = backend._difference(x, mu)
+    winner, _ = _tied_winner(view.kernel.g, x, mu, diff)
+    neighborhood_pull(mu, epsilon * view.kernel.g[winner], diff)
     return view
 
 

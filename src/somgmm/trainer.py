@@ -34,7 +34,7 @@ PROBE_SIZE = 200
 DRAW_BLOCK = 2 ** 16
 
 # Margin of the tied winner's guard over its rounding bound
-# (``_tied_sample_step``); the measured worst error over the bound is in
+# (``_tied_winner``); the measured worst error over the bound is in
 # ``tests/test_trainer.py``.
 TIED_GUARD_FACTOR = 2.0
 _EPS = np.finfo(np.float64).eps
@@ -118,14 +118,12 @@ class DataStats:
 class TrainState:
     """A run in progress.  A tied model's d and weights, frozen like every
     model's, are fixed for the run: ``make_state`` validates the starting
-    model and keeps ``tied_terms = (d, weights, psq, base, p, rel, slack,
-    one_row, mu)`` with the kernel's precisions ``psq = d ** 2`` and
-    normaliser ``base``, the scalar ``p = d^2`` of the pull, the bound of
-    the winner's guard, whether the one-row pull is exact and the centroids
-    it was judged on (see ``_tied_terms``).  A tied step uses them while the
-    model holds those same arrays, d and the weights still read-only; another
-    model, a copy included, or arrays made writeable again, are validated and
-    get fresh terms first."""
+    model and keeps ``tied_terms = (d, weights, p, one_row, mu)`` with the
+    scalar ``p = d^2`` of the pull, whether the one-row pull is exact and
+    the centroids it was judged on (see ``_tied_terms``).  A tied step uses
+    them while the model holds those same arrays, d and the weights still
+    read-only; another model, a copy included, or arrays made writeable
+    again, are validated and get fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -211,25 +209,18 @@ def grad_smoothed(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKerne
     return _moment_gradients(batch.samples, coupling, model)
 
 
-def _sample_winner(g: np.ndarray, diff: np.ndarray, base: np.ndarray, psq: np.ndarray):
-    """The exact winner of one row from its differences ``diff = x - mu``:
-    the log-joint row (normaliser ``base``, precisions ``psq``) is smoothed
-    by the couplings g and argmaxed (ties: lowest index).  The untied
-    single-sample gradient takes every winner from here, and the tied step
-    every winner that its guard does not settle."""
-    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
-    return scores.argmax(axis=1)[0]
-
-
 def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodKernel):
     """``grad_smoothed`` of a one-row batch; see ``grad_smoothed`` for why
-    it is bitwise ``_moment_gradients`` of the winner's row."""
+    it is bitwise ``_moment_gradients`` of the winner's row: the log-joint
+    row made from ``diff = x - mu`` is smoothed by the couplings g and
+    argmaxed (ties: lowest index)."""
     d, weights = model.precision_roots, model.weights
     base, psq = backend._fresh_terms(weights, d)
     g = mc._kernel_matrix(model, kernel)
     mc._check_dims(batch, model)
     diff = backend._difference(batch.samples[0], model.centroids)
-    coupling = g[_sample_winner(g, diff, base, psq)]
+    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
+    coupling = g[scores.argmax(axis=1)[0]]
     W = coupling[:, None]
     gmu = (W * psq) * diff
     gmu += 0.0
@@ -346,115 +337,123 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 
 
 def _tied_terms(state: TrainState) -> tuple:
-    """The terms (d, weights, psq, base, p, rel, slack, one_row, mu) of the
-    state's tied model, made afresh when its d, weights or centroids are not
-    the arrays they were made from, or d or the weights were made writeable
-    again: the model is validated, psq and base are the
-    ``backend.log_joints`` terms of its d and weights, p is the pull's
-    scalar d^2, rel and slack are the bound of the winner's guard, and
-    one_row says that the centroids mu held no -0.0 when the terms were made
-    (see ``_tied_sample_step``)."""
+    """The terms (d, weights, p, one_row, mu) of the state's tied model, made
+    afresh when its d, weights or centroids are not the arrays they were
+    made from, or d or the weights were made writeable again: the model is
+    validated, p is the pull's scalar d^2, and one_row says that the
+    centroids mu held no -0.0 when the terms were made (see
+    ``_tied_sample_step``)."""
     terms, model = state.tied_terms, state.model
     d, weights, mu = model.precision_roots, model.weights, model.centroids
     if (terms is None or terms[0] is not d or terms[1] is not weights
-            or terms[8] is not mu or d.flags.writeable or weights.flags.writeable):
+            or terms[4] is not mu or d.flags.writeable or weights.flags.writeable):
         model.validate()
-        base, psq = backend._kernel_terms(weights, d)
-        K, D = mu.shape
-        P, b = float(psq[0, 0]), abs(float(base[0]))
-        rel = TIED_GUARD_FACTOR * 2.05 * (D + K + 1) * _EPS
-        slack = TIED_GUARD_FACTOR * (4.05 * (K + 1) * _EPS * b / P
-                                     + (D + K + 4) * _TINY * (1.0 + 2.0 / P))
         one_row = not np.any(np.signbit(mu) & (mu == 0.0))
-        terms = state.tied_terms = (d, weights, psq, base,
-                                    model.tied_precision_root ** 2,
-                                    rel, slack, one_row, mu)
+        terms = state.tied_terms = (d, weights, model.tied_precision_root ** 2, one_row, mu)
     return terms
+
+
+def _tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, diff: np.ndarray):
+    """The winner for one row x of a tied model, from ``diff = x - mu``:
+    the least V_k = sum_j g_kj ||x - mu_j||^2 over the float inputs, lowest
+    index on exact ties, and whether the fast path settled it (so diff is
+    finite).  ``sombridge.bmu``, ``sombridge.som_update`` and
+    ``_tied_sample_step`` all take their winner from here.
+
+    A tied model has one normaliser b and one precision P, so the smoothed
+    score of row k is b r_k - (P/2) V_k with row sums r_k = sum_j g_kj;
+    with unit row sums, as in the paper, the best score has the least V,
+    the map's energy.
+
+    Fast path: ``u = g @ s`` with ``s = einsum(diff, diff)``, one read of
+    diff.  The first index w of the least entry u1 wins when the runner-up
+    u2 clears u2 - u1 > F n (1.01 eps u2 + 2^-1074), n = D + K + 2,
+    F = ``TIED_GUARD_FACTOR``.  The bound, with unit roundoff e = eps / 2
+    and g_n = n e / (1 - n e) <= 1.01 n e, for couplings >= 0 with row
+    sums near 1 (every ``build_kernel`` kernel): the difference, its
+    square and the einsum's sum of D products put each s_j within g_(D+2)
+    of ||x - mu_j||^2 (a subnormal difference is exact), the smoothing
+    products and their sum add g_K, and each of the D + K products behind
+    a u that falls below the normal range adds at most 2^-1075.  So
+    |u_k - V_k| <= g_n V_k + (D+K+1) 2^-1075, and V_w < V_k for every
+    k != w once u2 - u1 > 2 g_n u2 + (D+K+1) 2^-1074: the guard with F = 1.
+    F = 2 also covers the rounding of the test itself.  The gap is strict,
+    so exact ties fall back.  ``sum(s)`` is tested first: a finite sum
+    makes diff, s and u finite (an overflowing u fails the gap), so a NaN
+    or inf never reaches the sort.  The few values are compared as Python
+    floats, which costs less than numpy calls on arrays this small.
+
+    Otherwise the winner is ``_exact_tied_winner``'s.  K = 1 needs neither.
+    """
+    K, D = diff.shape
+    if K == 1:
+        return 0, True
+    s = np.einsum("ki,ki->k", diff, diff)
+    if math.isfinite(sum(s.tolist())):
+        u = (g @ s).tolist()
+        u1, u2 = sorted(u)[:2]
+        if u2 - u1 > TIED_GUARD_FACTOR * (D + K + 2) * (1.01 * _EPS * u2 + _TINY):
+            return u.index(u1), True
+    return _exact_tied_winner(g, x, mu), False
+
+
+def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray) -> int:
+    """The least V_k = sum_j g_kj ||x - mu_j||^2, lowest index on ties,
+    computed exactly in Python integers: every float is n / 2^m
+    (``float.as_integer_ratio``), so x and the finite rows of mu, and
+    apart from them g, are integers on one common scale.  A finite x and
+    mu whose difference would overflow a float stay exact.  A non-finite
+    entry in x or in row j of mu puts mu_j infinitely far: every k with
+    g_kj > 0 gets V_k = inf, and when every V is infinite the winner is 0.
+    """
+    K, D = mu.shape
+    sq = [math.inf] * K
+    near = np.flatnonzero(np.isfinite(mu).all(axis=1)) if np.isfinite(x).all() else []
+    if len(near):
+        ints = _on_common_scale(x.tolist() + mu[near].ravel().tolist())
+        xs = ints[:D]
+        for n, j in enumerate(near.tolist(), 1):
+            sq[j] = sum((a - b) ** 2 for a, b in zip(xs, ints[n * D:(n + 1) * D]))
+    gs = _on_common_scale(g.ravel().tolist())
+    v = [sum(c * q for c, q in zip(gs[k * K:(k + 1) * K], sq) if c) for k in range(K)]
+    return v.index(min(v))
+
+
+def _on_common_scale(values: list) -> list:
+    """Finite floats as integers in units of the least power of two that
+    divides them all: n * (scale // d) for each ratio n / d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios]
 
 
 def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
                       kernel: NeighborhoodKernel, eps: float):
-    """Single-sample tied update, grouped so that it is bit-identical to the
-    prototype-map rule under the eps/d^2 rate mapping.
+    """Single-sample tied update, bit-identical to the prototype-map rule
+    ``sombridge.som_update`` under the eps/d^2 rate mapping: x - mu is
+    computed once, the winner w is ``_tied_winner``'s, and the pull scales
+    the same difference by ``(eps * p) * g[w]``.  ``p`` is the run's
+    scalar d^2, so the step never reads d or the weights.
 
-    x - mu is computed once and serves both the winner and the pull; ``p``
-    is the run's pull scalar, so the step never reads d or the weights.
-
-    The winner.  A tied model has one normaliser b (every entry of
-    ``base``) and one precision P (every entry of ``psq``), so the smoothed
-    score of row k is
-
-        sum_j g_kj (b - P S_j / 2) = b r_k - (P/2) V_k,
-        S_j = sum_i diff_ji^2,  V_k = sum_j g_kj S_j,  r_k = sum_j g_kj,
-
-    and with r_k = 1 the best score has the least V.  The guard computes
-    ``u = g @ s`` with ``s = einsum(diff, diff)``, one read of diff, and
-    takes the first index of the least entry u1 of u when the runner-up u2
-    clears
-
-        u2 - u1 > rel * u2 + slack,  and  p * sum(s) < 1e300.
-
-    The bound, in units of u, with unit roundoff e = 2^-53 and
-    g_n = n e / (1 - n e) <= 1.01 n e:
-
-    - Fast path: the einsum of D non-negative products is within g_D of S_j,
-      the smoothing product within g_K, so |u_k - V_k| <= g_(D+K) V_k.
-    - Exact path: squares, products by P and the einsum put the precision
-      term within g_(D+2) of P S_j, ``b - 0.5 * t`` rounds by e, and the
-      smoothing product by g_K of sum_j g_kj |lj_j|: each score is within
-      g_(K+1) |b| r_k + (P/2) g_(D+K+2) V_k of b r_k - (P/2) V_k.
-    - Row sums: the identity's are 1; ``build_kernel`` divides each row by
-      its floating sum, so |r_k - 1| <= g_(K+1) and b r_w - b r_k is at most
-      2 g_(K+1) |b|.
-    - Subnormal results lose relative precision: each of at most D + K + 4
-      operations per score or u adds up to 2^-1075, times 2/P in units of u
-      on the exact path.
-
-    So the exact score of the least u beats every other k when u2 - u1
-    exceeds 2.01 (g_(D+K) + g_(D+K+2)) u2 + 8 g_(K+1) |b| / P plus the
-    subnormal term, which ``_tied_terms`` bounds by 2.05 (D+K+1) eps u2 +
-    4.05 (K+1) eps |b| / P + (D+K+4) 2^-1074 (1 + 2/P), eps = 2e, and
-    multiplies by ``TIED_GUARD_FACTOR``.  The gap is strict, so exact ties
-    fall back and resolve to the lowest index.  ``p * sum(s) < 1e300``
-    (the sum bounds every s_j) keeps every exact log-joint above the
-    -1e300 floor of ``model._smooth`` (|b| is below log K + 8 D), which
-    would otherwise change the exact scores, and makes diff, s and u
-    finite, so a NaN or inf falls back too; it is tested first, so the
-    smoothing product never meets an inf and raises no floating-point
-    warning that the exact path would not.  Near ties, non-finite
-    differences and huge distances take ``_sample_winner``.  K = 1 needs
-    no guard.  The few values are compared as Python floats, which costs
-    less than numpy calls on arrays this small.
-
-    The pull.  When the guard settled the winner (so diff is finite) and
-    the kernel is the identity, only the winner's row is pulled, through
+    When the fast path settled the winner (so diff is finite) and the
+    kernel is the identity, only the winner's row is pulled, through
     one-row views.  A zero coefficient changes a finite centroid entry only
     when it is -0.0 and x_i >= 0, which it turns into +0.0, and a pull
     never makes a -0.0; so the one-row pull is bitwise the full pull for a
     model whose centroids held no -0.0 when ``_tied_terms`` made its terms,
     and a model that held one takes the full pull.
     """
-    psq, base, p, rel, slack, one_row = terms[2:8]
+    p, one_row = terms[2], terms[3]
     g = mc._kernel_matrix(model, kernel)
     mc._check_dims(batch, model)
-    diff = backend._difference(batch.samples[0], model.centroids)
-    w = None
-    if g.shape[0] == 1:
-        w = 0
-    else:
-        s = np.einsum("ki,ki->k", diff, diff)
-        if p * sum(s.tolist()) < 1e300:
-            u = (g @ s).tolist()
-            u1, u2 = sorted(u)[:2]
-            if u2 - u1 > rel * u2 + slack:
-                w = u.index(u1)
-    if w is None:
-        w = _sample_winner(g, diff, base, psq)
-    elif one_row and kernel.is_identity:
+    x, mu = batch.samples[0], model.centroids
+    diff = backend._difference(x, mu)
+    w, settled = _tied_winner(g, x, mu, diff)
+    if settled and one_row and kernel.is_identity:
         row = slice(w, w + 1)
-        neighborhood_pull(model.centroids[row], (eps * p) * g[w, row], diff[row])
-        return
-    neighborhood_pull(model.centroids, (eps * p) * g[w], diff)
+        neighborhood_pull(mu[row], (eps * p) * g[w, row], diff[row])
+    else:
+        neighborhood_pull(mu, (eps * p) * g[w], diff)
 
 
 def _apply(model, config, eps, gmu, gd, gpi):

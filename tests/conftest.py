@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +44,23 @@ def assert_frozen(model):
             arr[...] = 0.5
         assert arr.tobytes() == before
     assert model.centroids.flags.writeable
+
+
+def fraction_energies(g, x, mu):
+    """The energies V_k = sum_j g_kj ||x - mu_j||^2 of one row x, exactly:
+    Fractions of the float inputs.  A non-finite entry of x or of row j puts
+    mu_j infinitely far, so V_k = inf for every k with g_kj > 0."""
+    fx = [Fraction(v) for v in x.tolist()] if np.isfinite(x).all() else None
+    sq = [sum((a - Fraction(b)) ** 2 for a, b in zip(fx, row))
+          if fx is not None and all(map(math.isfinite, row)) else math.inf
+          for row in mu.tolist()]
+    return [sum(Fraction(c) * q for c, q in zip(row, sq) if c) for row in g.tolist()]
+
+
+def fraction_winner(g, x, mu):
+    """The lowest index of the least ``fraction_energies``."""
+    v = fraction_energies(g, x, mu)
+    return v.index(min(v))
 
 
 def random_data(rng, N, D):

@@ -13,13 +13,14 @@ from conftest import (
     blob_images,
     cluster_means,
     four_cluster_data,
+    fraction_winner,
     matched_rmse,
     numeric_grad,
     plain_benchmark_config,
     random_data,
     random_model,
 )
-from somgmm import cli
+from somgmm import cli, trainer
 from somgmm.io import load_checkpoint, load_csv, load_idx, save_checkpoint, save_csv, write_idx
 from somgmm.model import (
     DataSet,
@@ -30,7 +31,7 @@ from somgmm.model import (
     smoothed_log_likelihood,
 )
 from somgmm.inference import batch_scores, sample, assign_cluster
-from somgmm.sombridge import SomView, som_update, verify_equivalence
+from somgmm.sombridge import SomView, bmu, som_update, verify_equivalence
 from somgmm.topology import AnnealingSchedule, GridTopology, NeighborhoodKernel, build_kernel
 from somgmm.trainer import (
     DataStats,
@@ -39,6 +40,7 @@ from somgmm.trainer import (
     grad_exact,
     grad_smoothed,
     make_state,
+    neighborhood_pull,
     project_weight_gradient,
     run,
     sgd_step,
@@ -355,6 +357,90 @@ def test_11_max_component_bound_tightens_with_dimension():
     _report(11, "exact log-likelihood minus max-component bound lies in "
                 f"[0, log K] and does not grow with D (worst gap per D: "
                 + ", ".join(f"{D}: {g:.2g}" for D, g in worst.items()) + ")", ok)
+
+
+def _near_tie_case(rng):
+    """A tied model and a sample x at or next to a tie of its best units.
+
+    x and the offset v are dyadic (multiples of 1/64 and 2^-10), so x + v
+    and x + (signs and permutation of v) are exact and equally far from x.
+    Kinds: two such prototypes (x on their bisector), one duplicated, every
+    prototype at that distance, or every prototype equal; the others lie
+    at least twice as far.  Half the cases then nudge one entry of x or of
+    a tied prototype by 1 to 3 ulps.  Offsets reach 1e6."""
+    K, D = int(rng.choice([4, 9])), int(rng.integers(1, 6))
+    offset = float(rng.choice([0.0, 1.0, -1e3, 1e6]))
+    x = offset + np.round(64 * rng.normal(size=D)) / 64
+    v = (np.round(1024 * rng.normal(size=D)) + rng.choice([-1, 1], D)) / 1024
+    far = rng.normal(size=(K, D))
+    far *= rng.uniform(2, 3, (K, 1)) * np.linalg.norm(v) / np.linalg.norm(far, axis=1, keepdims=True)
+    mu = x + far
+
+    def mirrored():
+        return x + rng.choice([-1, 1], D) * rng.permutation(v)
+
+    kind = int(rng.integers(4))
+    tied = rng.choice(K, 2, replace=False) if kind < 2 else np.arange(K)
+    if kind == 0:
+        mu[tied[0]], mu[tied[1]] = x + v, mirrored()
+    elif kind == 1:
+        mu[tied] = x + v
+    elif kind == 2:
+        for j in tied:
+            mu[j] = mirrored()
+    else:
+        mu[:] = x + v
+    if rng.random() < 0.5:
+        target = x if rng.random() < 0.5 else mu[rng.choice(tied)]
+        i = int(rng.integers(D))
+        for _ in range(int(rng.integers(1, 4))):
+            target[i] = np.nextafter(target[i], rng.choice([-np.inf, np.inf]))
+    d = float(rng.uniform(0.4, 2.5))
+    model = MixtureModel(np.full(K, 1.0 / K), mu, np.full((K, D), d), tied_spherical=True)
+    return model, x
+
+
+def test_14_one_exact_winner_on_near_ties():
+    """The SOM identity on the cases where rounding could break it: on
+    near-tied and tied winners, under annealed and identity kernels, the
+    prototype-map update and the tied SGD step agree bitwise, and both pick
+    the winner of exact rational arithmetic."""
+    rng = np.random.default_rng(114)
+    ok, cases, undecided = True, 2400, 0
+    for _ in range(cases):
+        model, x = _near_tie_case(rng)
+        K = model.n_components
+        top = GridTopology("2d", K)
+        lr = float(rng.uniform(0.005, 0.3))
+        eps = lr * model.tied_precision_root ** 2
+        if rng.random() < 0.5:
+            sigma = float(rng.uniform(0.3, 1.5))
+            kernel = build_kernel(top, sigma)
+            cfg = TrainConfig("smoothed", K, 10, eps_schedule=AnnealingSchedule(lr, lr, 0, 10),
+                              sigma_schedule=AnnealingSchedule(sigma, sigma, 0, 10),
+                              tied_spherical=True, seed=0)
+        else:
+            kernel = NeighborhoodKernel(np.eye(K), 0.0)
+            cfg = TrainConfig("max_component", K, 10,
+                              eps_schedule=AnnealingSchedule(lr, lr, 0, 10),
+                              tied_spherical=True, seed=0)
+        mu = model.centroids
+        winner = fraction_winner(kernel.g, x, mu)
+        undecided += not trainer._tied_winner(kernel.g, x, mu, x - mu)[1]
+        want = mu.copy()
+        neighborhood_pull(want, eps * kernel.g[winner], x - want)
+
+        data = DataSet(x[None, :])
+        state = make_state(cfg, data)
+        state.model = model.copy()
+        sgd_step(state, data, cfg)
+        view = SomView(model.copy(), top, kernel)
+        ok &= bmu(x, view) == winner
+        som_update(view, x, eps)
+        ok &= view.prototypes.tobytes() == state.model.centroids.tobytes() == want.tobytes()
+    _report(14, f"prototype-map update and tied SGD step agree bitwise and pick "
+                f"the exact winner on {cases} near-tie cases ({undecided} left to "
+                f"the exact fallback)", ok and undecided > cases // 10)
 
 
 def test_cli_end_to_end_on_image_subset(tmp_path):

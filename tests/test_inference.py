@@ -227,11 +227,11 @@ class TestFrozenModel:
                                       fresh_terms_calls)
 
     def test_tied_run_model_uses_the_runs_terms(self, rng, fresh_terms_calls):
-        # The run's own psq serves inference after it: one computation of
-        # d^2 for the whole life of the model.
+        # The psq of the run's own loss rows serves inference after it: one
+        # computation of d^2 for the whole life of the model.
         model, state = self.tied_run_model()
         self.assert_per_row_calls_hit(model, rng, fresh_terms_calls,
-                                      psq=state.tied_terms[2])
+                                      psq=backend._terms[3])
 
     @pytest.mark.parametrize("source", ["loaded", "tied_run"])
     def test_memo_keeps_no_array_of_a_dropped_model(self, tmp_path, rng, source):

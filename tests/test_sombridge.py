@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_data, random_model
 from somgmm.exceptions import DataError, UsageError
-from somgmm import sombridge
+from somgmm import backend, sombridge, trainer
 from somgmm.model import DataSet, MixtureModel
 from somgmm.sombridge import (
     SomView,
@@ -158,6 +158,31 @@ class TestSomUpdate:
         assert len(calls) == 3
         bmu(rng.normal(size=3), view)
         assert len(calls) == 4
+
+    def test_shares_the_tied_steps_winner_and_difference(self, rng, monkeypatch):
+        # bmu, som_update and the tied sgd_step take their winner from one
+        # helper, and each step takes x - mu once.
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        winner = counting("winner", trainer._tied_winner)
+        monkeypatch.setattr(trainer, "_tied_winner", winner)
+        monkeypatch.setattr(sombridge, "_tied_winner", winner)
+        monkeypatch.setattr(backend, "_difference", counting("difference", backend._difference))
+        view = tied_view(rng)
+        x = rng.normal(size=3)
+        cfg = TrainConfig("smoothed", 4, 10, eps_schedule=AnnealingSchedule(0.1, 0.1, 0, 10),
+                          sigma_schedule=AnnealingSchedule(0.7, 0.7, 0, 10),
+                          tied_spherical=True, seed=0)
+        state = make_state(cfg, DataSet(x[None, :]))
+        state.model = view.model.copy()
+        for step in (lambda: bmu(x, view), lambda: som_update(view, x, 0.1),
+                     lambda: sgd_step(state, DataSet(x[None, :]), cfg)):
+            calls.clear()
+            step()
+            assert calls == ["difference", "winner"]
 
     def test_equals_sgd_step_after_rate_mapping(self, rng):
         # One update must be bit-identical to a smoothed-regime step on the
