@@ -70,7 +70,6 @@ CONFIG_KEYS = {
     "eps_inf": (float, None),
     "t0": (_parse_time, None),
     "t_inf": (_parse_time, None),
-    "tau_convention": (str, None),
     "centroid_scale": (float, "centroid_scale"),
     "init_dsq": (float, "init_dsq"),
     "init_mode": (str, "init_mode"),
@@ -79,7 +78,6 @@ CONFIG_KEYS = {
     "train_precisions": (_parse_bool, "train_precisions"),
     "seed": (int, "seed"),
     "diag_every": (int, "diag_every"),
-    "shuffle": (str, "shuffle"),
     "data": (str, None),
     "data_format": (str, None),
     "output_dir": (str, None),
@@ -100,11 +98,10 @@ def to_train_config(cfg: dict) -> TrainConfig:
         raise UsageError("config must set sigma0 and sigma_inf together")
 
     t0, t_inf = (cfg[key](cfg["total_iters"]) for key in ("t0", "t_inf"))
-    conv = {"convention": cfg["tau_convention"]} if "tau_convention" in cfg else {}
-    eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf, **conv)
+    eps_schedule = AnnealingSchedule(cfg["eps0"], cfg["eps_inf"], t0, t_inf)
     sigma_schedule = None
     if "sigma0" in cfg:
-        sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf, **conv)
+        sigma_schedule = AnnealingSchedule(cfg["sigma0"], cfg["sigma_inf"], t0, t_inf)
     fields = {name: cfg[key] for key, (_, name) in CONFIG_KEYS.items() if name and key in cfg}
     return TrainConfig(eps_schedule=eps_schedule, sigma_schedule=sigma_schedule,
                        **fields).validate()

@@ -42,8 +42,9 @@ from .model import DataSet, MixtureModel, _trusted_dataset
 from .topology import AnnealingSchedule, GridTopology
 
 CHECKPOINT_MAGIC = "SOMGMMCKPT"
-# Version 2's SHA-256 covers the JSON header line and the payload; version 1's
-# covered the payload alone and is still read.
+# The SHA-256 covers the JSON header line and the payload.  Version 1's
+# covered the payload alone, so an edited header went unnoticed; it is
+# refused like any other version.
 CHECKPOINT_VERSION = 2
 
 IDX_UBYTE = 0x08
@@ -249,7 +250,15 @@ def _schedule_dict(s):
 
 
 def _schedule_from(d):
-    return None if d is None else AnnealingSchedule(**d)
+    """The schedule a header's dict describes.  Checkpoints written while
+    schedules had a ``convention`` field hold ``"continuous"`` there, the
+    decay law that remains; any other value names a law no longer read."""
+    if d is None:
+        return None
+    convention = d.pop("convention", "continuous")
+    if convention != "continuous":
+        raise ValueError(f"unsupported schedule convention {convention!r}")
+    return AnnealingSchedule(**d)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -289,7 +298,7 @@ def load_checkpoint(path) -> Checkpoint:
             if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
                 raise DataError(f"{path}: not a checkpoint file")
             version = int(magic[1])
-            if version not in (1, CHECKPOINT_VERSION):
+            if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {magic[1]}")
             header = fh.readline()
             binline = fh.readline().decode().split()
@@ -297,7 +306,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: malformed binary section header")
             nbytes, digest = int(binline[1]), binline[2]
             payload = fh.read()
-        covered = payload if version == 1 else header + payload
+        covered = header + payload
         if len(payload) != nbytes or hashlib.sha256(covered).hexdigest() != digest:
             raise DataError(f"{path}: checksum mismatch (corrupt or truncated)")
         meta = json.loads(header.decode())

@@ -105,18 +105,15 @@ class AnnealingSchedule:
     """Piecewise-exponential decay: value0 until t0, exponential decay to
     value_inf at t_inf, constant afterwards.
 
-    The "continuous" convention uses tau = log(value0/value_inf) / (t_inf - t0)
-    so the curve is continuous at both endpoints.  The "literal" convention
-    keeps the historical tau = log[(value0 - value_inf) / (t_inf - t0)] behind
-    a compatibility switch; it is not continuous at the endpoints in general.
-    The same schedule type drives both sigma(t) and the learning rate eps(t).
+    The decay rate tau = log(value0/value_inf) / (t_inf - t0) makes the curve
+    continuous at both endpoints.  The same schedule type drives both
+    sigma(t) and the learning rate eps(t).
     """
 
     value0: float
     value_inf: float
     t0: float
     t_inf: float
-    convention: str = "continuous"
 
     def __post_init__(self):
         # A finite ratio keeps tau, and so every value, finite.
@@ -125,21 +122,11 @@ class AnnealingSchedule:
             raise UsageError("schedule requires value0 >= value_inf > 0, finite ratio")
         if not (math.isfinite(self.t_inf) and self.t_inf > self.t0 >= 0):
             raise UsageError("schedule requires finite t_inf > t0 >= 0")
-        if self.convention not in ("continuous", "literal"):
-            raise UsageError(f"unknown tau convention {self.convention!r}")
-        # The literal tau takes the log of this ratio, which a tiny value gap
-        # over a huge span underflows to 0.
-        if (self.convention == "literal" and self.value0 != self.value_inf
-                and (self.value0 - self.value_inf) / (self.t_inf - self.t0) == 0):
-            raise UsageError("literal tau convention: (value0 - value_inf) / "
-                             "(t_inf - t0) underflows to 0")
 
     @cached_property
     def tau(self):
         """The decay rate; computed once per schedule (a cached attribute is
         not a dataclass field, so ``asdict`` and equality ignore it)."""
-        if self.convention == "literal":
-            return math.log((self.value0 - self.value_inf) / (self.t_inf - self.t0))
         return math.log(self.value0 / self.value_inf) / (self.t_inf - self.t0)
 
     def value_at(self, t: float) -> float:
@@ -149,11 +136,6 @@ class AnnealingSchedule:
             return self.value_inf
         if self.value0 == self.value_inf:
             return self.value0
-        if self.convention == "literal":
-            # The historical tau can explode for common parameter choices;
-            # clamp into the declared range to keep the schedule usable.
-            v = self.value0 * math.exp(min(700.0, -self.tau * t))
-            return min(max(v, self.value_inf), self.value0)
         return self.value0 * math.exp(-self.tau * (t - self.t0))
 
 

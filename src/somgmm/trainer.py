@@ -59,7 +59,6 @@ class TrainConfig:
     train_precisions: bool = False
     seed: int | None = None
     diag_every: int = 100
-    shuffle: str = "replacement"
 
     def validate(self):
         if self.loss_regime not in LOSS_REGIMES:
@@ -77,8 +76,6 @@ class TrainConfig:
             raise UsageError("initial precision outside the allowed bounds")
         if self.init_mode not in ("random", "data_mean"):
             raise UsageError(f"unknown init mode {self.init_mode!r}")
-        if self.shuffle not in ("replacement", "epoch"):
-            raise UsageError(f"unknown shuffle mode {self.shuffle!r}")
         if self.loss_regime == "smoothed" and self.sigma_schedule is None:
             raise UsageError("smoothed regime requires a sigma schedule")
         if self.loss_regime != "exact":
@@ -574,8 +571,9 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
 
     Deterministic under a fixed seed; a run resumed from a checkpoint (model,
     iteration, rng state) continues exactly where the original left off.
-    The minibatch indices come from ``_batch_indices``, which draws them in
-    blocks and leaves the rng stream of one draw per step.
+    The minibatch indices come from ``_batch_indices``, which draws them
+    with replacement, in blocks, and leaves the rng stream of one draw per
+    step.
     """
     mc._require_finite(data.samples)
     state = make_state(config, data, resume)
@@ -590,9 +588,10 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
 
 
 def _batch_indices(config: TrainConfig, rng: np.random.Generator, N: int, t0: int):
-    """The row indices of the minibatches of steps t0 .. total_iters - 1.
+    """The row indices of the minibatches of steps t0 .. total_iters - 1,
+    always drawn with replacement.
 
-    Sampling with replacement draws the indices of up to ``DRAW_BLOCK // B``
+    Sampling draws the indices of up to ``DRAW_BLOCK // B``
     steps in one ``rng.integers(0, N, size=(n, B))`` call.  numpy draws
     bounded integers one after another from a bit generator whose buffered
     32-bit half lives in its state, so a block holds the values that n
@@ -603,14 +602,6 @@ def _batch_indices(config: TrainConfig, rng: np.random.Generator, N: int, t0: in
     no state is returned and no checkpoint is written.
     """
     T, B = config.total_iters, config.batch_size
-    if config.shuffle == "epoch":
-        perm = None
-        for t in range(t0, T):
-            start = (t * B) % N
-            if perm is None or start == 0:
-                perm = rng.permutation(N)
-            yield perm.take(range(start, start + B), mode="wrap")
-        return
     steps = max(1, DRAW_BLOCK // B)
     for t in range(t0, T, steps):
         yield from rng.integers(0, N, size=(min(steps, T - t), B))

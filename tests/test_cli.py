@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -18,6 +19,7 @@ from somgmm.exceptions import NumericsError, UsageError
 from somgmm.io import Checkpoint, load_checkpoint, save_checkpoint, save_csv
 from somgmm.model import DataSet, MixtureModel
 from somgmm.topology import AnnealingSchedule, GridTopology
+from somgmm.trainer import TrainConfig
 from test_io import make_idx_bytes
 
 
@@ -62,6 +64,15 @@ def trained(tmp_path_factory):
     cfg = write_training_setup(tmp_path)
     assert cli.main(["train", "--config", str(cfg)]) == 0
     return tmp_path
+
+
+def test_config_keys_set_train_config_fields_once():
+    # Every TrainConfig field but the two schedules, which to_train_config
+    # builds from their own keys, is set by exactly one key, and a key that
+    # names a field names a real one.
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    named = sorted(name for _, name in cli.CONFIG_KEYS.values() if name is not None)
+    assert named == sorted(fields - {"eps_schedule", "sigma_schedule"})
 
 
 class TestTrain:
@@ -142,8 +153,8 @@ image_cols = 2
         ("eps_inf = 0.005", "eps_inf = 5e-324"),
         ("sigma0 = 1.0", "sigma0 = inf"),
         ("image_rows = 1\nimage_cols = 2", "image_rows = -1\nimage_cols = -2"),
-        ("t_inf = 0.7T", "t_inf = 1e308\neps0 = 1.0000000000000002\neps_inf = 1\n"
-                         "tau_convention = literal"),
+        ("seed = 5", "seed = 5\ntau_convention = continuous"),
+        ("seed = 5", "seed = 5\nshuffle = replacement"),
         # Sizes numpy cannot allocate on any machine: a K x K kernel, and in
         # the exact regime, which has no kernel, the K x D centroids.
         ("components = 4", "components = 100000000000000000000"),
@@ -157,6 +168,10 @@ image_cols = 2
         err = capsys.readouterr().err
         assert "usage error" in err
         assert "Traceback" not in err
+        for line in new.splitlines():
+            key = line.partition("=")[0].strip()
+            if key not in cli.CONFIG_KEYS:
+                assert f"unknown key {key!r}" in err
 
     def test_undecodable_config_exit_1(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)

@@ -22,9 +22,9 @@ smoothed batch-3 run equals the untied one.  The tied batch-3 and batch-4
 runs were recorded while every such step re-averaged the shared precision
 root; they pin that a tied minibatch or ``exact`` step changes only the
 centroids.
-The end state of each run's bit generator, which a checkpoint saves, and one
-run with ``shuffle = "epoch"`` are pinned too; both were recorded while the
-run drew its minibatch indices with one rng call per step.
+The end state of each run's bit generator, which a checkpoint saves, is
+pinned too; it was recorded while the run drew its minibatch indices with
+one rng call per step.
 The two untied batch-1 runs with trained weights and precisions cover the
 one-row branch of ``grad_smoothed``; their digests were recorded before that
 branch existed, while every batch went through the N-axis winner rows and
@@ -105,8 +105,6 @@ GOLDEN = {
         "c84cf30145694a79eb21734fedab93977689473e66df7a8dcb268900c6df2b50",
     "smoothed_tied_k25_d64":
         "6a70a4b1196cd63fae2fdbcb36bc7bd9a2e3baadd3433cfdd67afe8144b8701b",
-    "smoothed_untied_batch3_epoch":
-        "ff459e743080824405344497ec3ed7e11a643dd2e4e9fad3cbc841dada5bb39f",
 }
 
 # The end state of the run's bit generator, which a checkpoint saves: it
@@ -130,8 +128,6 @@ GOLDEN_RNG = {
         "ac9051527afffdaa9250d9b74886dcf952012f9e9e9336136525013f1e3c7753",
     "smoothed_untied_batch3":
         "ac9051527afffdaa9250d9b74886dcf952012f9e9e9336136525013f1e3c7753",
-    "smoothed_untied_batch3_epoch":
-        "7cac77c555cc55b38b45d610e8aade483d05554c0f31ca9baa540f2c29e5b290",
 }
 
 
@@ -169,22 +165,6 @@ def test_end_rng_state_digest(name):
     state = run(RUNS[name], four_cluster_data(5))
     assert state.t == T
     assert _rng_digest(state.rng) == GOLDEN_RNG[name]
-
-
-def test_epoch_shuffle_digest():
-    # 100 rows in batches of 3: every pass ends inside a batch, so the
-    # index take wraps round the permutation.
-    config = _config("smoothed", 3)
-    config.shuffle = "epoch"
-    data = DataSet(four_cluster_data(5).samples[::10])
-    assert data.count % config.batch_size != 0
-    assert T * config.batch_size > data.count
-    state = run(config, data)
-    model = state.model
-    digest = _digest([model.weights, model.centroids, model.precision_roots],
-                     state.history)
-    assert digest == GOLDEN["smoothed_untied_batch3_epoch"]
-    assert _rng_digest(state.rng) == GOLDEN_RNG["smoothed_untied_batch3_epoch"]
 
 
 def test_tied_k25_high_dim_digest():

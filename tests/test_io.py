@@ -153,6 +153,28 @@ def as_version_1(raw: bytes) -> bytes:
             + payload)
 
 
+def with_header(raw: bytes, edit) -> bytes:
+    """A checkpoint's bytes with ``edit`` applied to its header's dict and
+    signed again as ``save_checkpoint`` signs them: SHA-256 over the header
+    line and the payload."""
+    magic, header, _, payload = raw.split(b"\n", 3)
+    meta = json.loads(header)
+    edit(meta)
+    header = json.dumps(meta, sort_keys=True).encode() + b"\n"
+    digest = hashlib.sha256(header + payload).hexdigest()
+    return magic + b"\n" + header + f"BINARY {len(payload)} {digest}\n".encode() + payload
+
+
+def with_convention(convention):
+    """A header edit that gives every schedule the ``convention`` field that
+    checkpoints held while schedules had one."""
+    def edit(meta):
+        for key in ("eps_schedule", "sigma_schedule"):
+            if meta[key] is not None:
+                meta[key]["convention"] = convention
+    return edit
+
+
 class TestCsv:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -500,27 +522,51 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_contradicting_model_rejected(self, tmp_path, rng):
-        # A version-1 checksum covers only the arrays, so the loaded model is
-        # validated against what the header claims about it.
+        # A header signed again past the checksum still has its claims about
+        # the model checked against the arrays.
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._ckpt(rng, tied=False))
-        raw = path.read_bytes()
-        flipped = raw.replace(b'"tied_spherical": false', b'"tied_spherical": true', 1)
-        assert flipped != raw
-        path.write_bytes(as_version_1(flipped))
+        path.write_bytes(with_header(path.read_bytes(),
+                                     lambda meta: meta.update(tied_spherical=True)))
         with pytest.raises(DataError, match="tied_spherical"):
             load_checkpoint(path)
 
-    def test_version_1_still_loads(self, tmp_path, rng):
-        ckpt = self._ckpt(rng, tied=True)
+    def test_version_1_refused(self, tmp_path, rng, capsys):
+        # Version 1's checksum leaves the header unchecked.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._ckpt(rng, tied=True))
+        path.write_bytes(as_version_1(path.read_bytes()))
+        with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+        assert cli.main(["inspect", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "version" in err and "Traceback" not in err
+
+    def test_continuous_convention_field_still_loads(self, tmp_path, rng):
+        # The header layout of checkpoints written while schedules had a
+        # convention field.
+        ckpt = self._ckpt(rng)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, ckpt)
-        path.write_bytes(as_version_1(path.read_bytes()))
+        raw = path.read_bytes()
+        path.write_bytes(with_header(raw, with_convention("continuous")))
+        assert b'"convention": "continuous"' in path.read_bytes()
         back = load_checkpoint(path)
-        for name in ("weights", "centroids", "precision_roots"):
-            assert np.array_equal(getattr(back.model, name), getattr(ckpt.model, name))
-        assert back.model.tied_spherical
-        assert back.topology == ckpt.topology and back.rng_state == ckpt.rng_state
+        assert back.eps_schedule == ckpt.eps_schedule
+        assert back.sigma_schedule == ckpt.sigma_schedule
+        # Saved again, it is the file this version writes.
+        save_checkpoint(path, back)
+        assert path.read_bytes() == raw
+
+    def test_other_convention_refused(self, tmp_path, rng, capsys):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._ckpt(rng))
+        path.write_bytes(with_header(path.read_bytes(), with_convention("literal")))
+        with pytest.raises(DataError, match="convention 'literal'"):
+            load_checkpoint(path)
+        assert cli.main(["inspect", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "literal" in err and "Traceback" not in err
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"

@@ -170,22 +170,13 @@ class TestAnnealingSchedule:
         assert epsilon_at(eps, 1000) == 0.009
         assert epsilon_at(eps, 500) == pytest.approx(math.sqrt(0.05 * 0.009), rel=1e-12)
 
-    def test_literal_convention_available(self):
-        s = AnnealingSchedule(5.0, 0.5, 0.0, 4.0, convention="literal")
-        assert s.tau == pytest.approx(math.log(4.5 / 4.0), rel=1e-12)
-        assert s.value_at(2) == pytest.approx(5.0 * math.exp(-s.tau * 2), rel=1e-12)
-        # Values stay inside the declared range even where the historical
-        # formula diverges.
-        diverging = AnnealingSchedule(1.2, 0.01, 100, 900, convention="literal")
-        assert 0.01 <= diverging.value_at(500) <= 1.2
-
     def test_tau_computed_once_and_not_a_field(self):
         # asdict, which writes checkpoints, and equality see the fields only.
         fresh = AnnealingSchedule(1.2, 0.01, 100, 900)
         assert sigma_at(self.s, 500) == sigma_at(self.s, 500)
         assert vars(self.s)["tau"] == math.log(1.2 / 0.01) / 800
         assert asdict(self.s) == asdict(fresh) and self.s == fresh
-        assert set(asdict(self.s)) == {"value0", "value_inf", "t0", "t_inf", "convention"}
+        assert set(asdict(self.s)) == {"value0", "value_inf", "t0", "t_inf"}
 
     def test_invalid_parameters(self):
         with pytest.raises(UsageError):

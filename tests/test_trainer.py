@@ -1511,11 +1511,6 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(cfg, random_data(rng, 10, 2))
 
-    def test_epoch_shuffle_runs(self, rng):
-        cfg = basic_config(T=25, shuffle="epoch")
-        model, history = train(cfg, random_data(rng, 10, 2))
-        assert history[-1].t == 25
-
     def test_exact_regime_from_common_mean_goes_degenerate(self):
         data = four_cluster_data(1)
         T = 300
