@@ -110,7 +110,7 @@ def to_train_config(cfg: dict) -> TrainConfig:
 def _cmd_train(args):
     cfg = sio.load_config(args.config, CONFIG_PARSERS)
     tc = to_train_config(cfg)
-    data = _load_data(cfg["data"], cfg.get("data_format", "csv"))
+    data = _load_data(cfg["data"], cfg.get("data_format", "auto"))
     shape = (cfg.get("image_rows", 1), cfg.get("image_cols", data.dim))
     sio.check_image_shape(shape, data.dim)
     state = train_run(tc, data)

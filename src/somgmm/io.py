@@ -385,8 +385,8 @@ def emit_schedule_trace(history, path):
 def load_config(path, parsers) -> dict:
     """Parse a flat key=value config into a dict holding the keys the file
     sets, each value converted by ``parsers[key]``; a key without a parser is
-    unknown."""
-    values = {}
+    unknown, and a key set twice is refused."""
+    values, first = {}, {}
     for lineno, line in enumerate(_text_lines(path, UsageError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -397,6 +397,9 @@ def load_config(path, parsers) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in parsers:
             raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in first:
+            raise UsageError(f"{path}: line {lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
         try:
             values[key] = parsers[key](raw)
         except ValueError:

@@ -25,10 +25,16 @@ from .topology import (
 
 LOSS_REGIMES = ("exact", "max_component", "smoothed")
 
-# Relative sigma drift that triggers a kernel rebuild.
-KERNEL_REBUILD_TOL = 1e-4
-
 PROBE_SIZE = 200
+
+# detect_collapse: a weight above COLLAPSE_SINGLE_WEIGHT is a single
+# component; fewer than ceil(K/4) weights above 1/(COLLAPSE_SPARSE_FACTOR K)
+# are sparse; centroids within COLLAPSE_SPREAD data scales of one another
+# with responsibilities within COLLAPSE_RESP of 1/K are degenerate.
+COLLAPSE_SINGLE_WEIGHT = 0.95
+COLLAPSE_SPARSE_FACTOR = 10.0
+COLLAPSE_SPREAD = 1e-3
+COLLAPSE_RESP = 1e-3
 
 # Cap on the minibatch indices that ``run`` draws in one rng call.
 DRAW_BLOCK = 2 ** 16
@@ -270,19 +276,17 @@ def _regime_kernel(state: TrainState, config: TrainConfig, sigma: float):
         if state.kernel is None:
             state.kernel = NeighborhoodKernel(np.eye(config.n_components), 0.0)
         return state.kernel
-    k = state.kernel
-    if k is None or abs(sigma - k.sigma) > KERNEL_REBUILD_TOL * k.sigma:
+    if state.kernel is None or sigma != state.kernel.sigma:
         state.kernel = build_kernel(state.topology, sigma)
     return state.kernel
 
 
 def _current_loss(state: TrainState, config: TrainConfig):
-    probe = state.probe
+    """The probe loss: the smoothed loss under the run's kernel, which for
+    ``max_component`` is the identity, so the max-component loss."""
     if config.loss_regime == "exact":
-        return mc.full_log_likelihood(probe, state.model)
-    if config.loss_regime == "max_component":
-        return mc.max_component_log_likelihood(probe, state.model)
-    return mc.smoothed_log_likelihood(probe, state.model, state.kernel)
+        return mc.full_log_likelihood(state.probe, state.model)
+    return mc.smoothed_log_likelihood(state.probe, state.model, state.kernel)
 
 
 def _sigma(config: TrainConfig, t: int) -> float:
@@ -305,7 +309,7 @@ def _log_row(state: TrainState, config: TrainConfig):
 
 def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainState:
     """One ascent step: evaluate schedules, rebuild the kernel if the radius
-    drifted, apply regime gradients, re-impose constraints, log at cadence."""
+    changed, apply regime gradients, re-impose constraints, log at cadence."""
     if state.t >= config.total_iters:
         raise UsageError("training already ran its configured iterations")
     model = state.model
@@ -467,67 +471,40 @@ def _apply(model, config, eps, gmu, gd, gpi):
     return d, w
 
 
-@dataclass
-class CollapseThresholds:
-    single_weight: float = 0.95
-    degenerate_spread: float = 1e-3
-    degenerate_resp: float = 1e-3
-    sparse_weight_factor: float = 10.0
-
-
-def detect_collapse(
-    model: MixtureModel,
-    data_stats: DataStats,
-    probe: DataSet | None = None,
-    thresholds: CollapseThresholds = CollapseThresholds(),
-) -> str:
+def detect_collapse(model: MixtureModel, data_stats: DataStats, probe: DataSet) -> str:
     """Classify the model as healthy / degenerate / single_component / sparse.
 
-    Degenerate: all centroids coincide (relative to the data scale) and a
+    Degenerate: all centroids coincide (relative to the data scale) and the
     probe batch gets uniform responsibilities.  Single-component: one weight
     absorbs nearly everything.  Sparse: too few components carry weight.
     """
     K = model.n_components
     w = model.weights
-    if np.max(w) > thresholds.single_weight:
+    if np.max(w) > COLLAPSE_SINGLE_WEIGHT:
         return "single_component"
-    if np.count_nonzero(w > 1.0 / (thresholds.sparse_weight_factor * K)) < math.ceil(K / 4):
+    if np.count_nonzero(w > 1.0 / (COLLAPSE_SPARSE_FACTOR * K)) < math.ceil(K / 4):
         return "sparse"
-    if _spread_below(model.centroids, thresholds.degenerate_spread * data_stats.scale):
-        if probe is None:
-            return "degenerate"
+    if _spread_below(model.centroids, COLLAPSE_SPREAD * data_stats.scale):
         gamma = mc.responsibilities(probe, model).gamma
-        if np.max(np.abs(gamma - 1.0 / K)) < thresholds.degenerate_resp:
+        if np.max(np.abs(gamma - 1.0 / K)) < COLLAPSE_RESP:
             return "degenerate"
     return "healthy"
 
 
-def _max_pairwise_distance(mu: np.ndarray) -> np.float64:
-    """Largest Euclidean distance between two rows of mu, row by row over
-    the pairs j >= k: bitwise the max of the K x K broadcast
-    ``np.linalg.norm`` matrix, without its K x K x D temporary.  Each sum of
-    squares runs over the same contiguous last axis, (a - b)^2 == (b - a)^2,
-    the correctly rounded sqrt is monotone, so the root of the largest sum
-    is the largest root, and keeping the diagonal keeps its NaN for a row
-    holding inf."""
-    return np.sqrt(np.max([_largest_sq_distance_from(mu, k) for k in range(mu.shape[0])]))
-
-
-def _largest_sq_distance_from(mu: np.ndarray, k: int) -> np.float64:
-    """Largest squared distance from row k of mu to rows k, k+1, ..."""
-    return np.add.reduce(np.square(mu[k:] - mu[k]), axis=1).max()
-
-
 def _spread_below(mu: np.ndarray, threshold: float) -> bool:
-    """``_max_pairwise_distance(mu) < threshold``, bit for bit, with the full
-    maximum only when row 0 leaves the answer open.  Row 0's distances are
-    the pairs (0, j) of the full maximum, the same floats, so their largest
-    bounds it from below: when that clears the threshold, so does the
-    spread.  A NaN clears nothing and takes the full path.  At K=25, D=784
-    a model whose row 0 clears took 52 us against 605 us for the full
-    maximum, which makes K row passes."""
-    return (not np.sqrt(_largest_sq_distance_from(mu, 0)) >= threshold
-            and _max_pairwise_distance(mu) < threshold)
+    """Whether every Euclidean distance between two rows of mu, a row and
+    itself included, is below the threshold: bitwise the verdict of the max
+    of the K x K broadcast ``np.linalg.norm`` matrix against it, without its
+    K x K x D temporary.  Row k's squared distances to rows k, k+1, ... run
+    over the same contiguous last axis, (a - b)^2 == (b - a)^2 and the
+    correctly rounded sqrt is monotone, so these pairs j >= k hold every
+    distance of the matrix; the loop stops at the first row whose largest
+    is not below.  The diagonal keeps the matrix's NaN for a row holding
+    inf, and a NaN is never below."""
+    for k in range(mu.shape[0]):
+        if not np.sqrt(np.add.reduce(np.square(mu[k:] - mu[k]), axis=1).max()) < threshold:
+            return False
+    return True
 
 
 def _probe_subset(data: DataSet) -> DataSet:

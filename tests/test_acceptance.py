@@ -311,10 +311,11 @@ def test_10_io_round_trips_and_resume(tmp_path):
                 "an interrupted run resumes to identical parameters", ok)
 
 
-def _mixture_sample(seed, K, D, n=2000, noise_sd=0.7):
-    """K centroids drawn N(0, 1) per dimension and n noisy draws around them."""
+def _mixture_sample(seed, K, D, n=2000, noise_sd=0.7, centre_sd=1.0):
+    """K centroids drawn N(0, centre_sd^2) per dimension and n noisy draws
+    around them."""
     rng = np.random.default_rng(seed)
-    centres = rng.standard_normal((K, D))
+    centres = centre_sd * rng.standard_normal((K, D))
     labels = rng.integers(0, K, n)
     return centres, DataSet(centres[labels] + noise_sd * rng.standard_normal((n, D)))
 
@@ -357,6 +358,51 @@ def test_11_max_component_bound_tightens_with_dimension():
     _report(11, "exact log-likelihood minus max-component bound lies in "
                 f"[0, log K] and does not grow with D (worst gap per D: "
                 + ", ".join(f"{D}: {g:.2g}" for D, g in worst.items()) + ")", ok)
+
+
+def _annealing_pair(seed, T=6000):
+    """The annealed smoothed run and the plain max-component run (sigma 0)
+    of one seed: the same tied 5 x 5 periodic map, start, data and eps
+    schedule, and only the regime and its sigma schedule differ."""
+    _, data = _mixture_sample(1000 + seed, 25, 64, n=3000, noise_sd=1.0, centre_sd=3.0)
+    models = []
+    for regime, sigma in (("smoothed", AnnealingSchedule(2.0, 0.01, 0.2 * T, 0.5 * T)),
+                          ("max_component", None)):
+        cfg = TrainConfig(
+            regime, 25, T,
+            eps_schedule=AnnealingSchedule(0.1, 0.002, 0.5 * T, 0.85 * T),
+            sigma_schedule=sigma, grid="2d", periodic=True, tied_spherical=True,
+            init_dsq=1.0, centroid_scale=3.0, seed=seed, diag_every=T,
+        )
+        models.append(run(cfg, data).model)
+    return data, models
+
+
+def _dead_units(data, model):
+    """Components that win no row of data by log-joint argmax."""
+    winners = log_joint_matrix(data, model).argmax(axis=1)
+    return model.n_components - len(np.unique(winners))
+
+
+def test_12_annealing_beats_sigma_zero_like_for_like():
+    """The paper's claim that shrinking the neighbourhood anneals SGD away
+    from poor local optima, against the same run without the shrinking:
+    the annealed map reaches the higher exact log-likelihood on at least 7
+    of 8 seeds and leaves fewer dead units in the median.  The gates were
+    fixed on these seeds and hold on seeds 100-107 as well (CHANGES.md)."""
+    start = time.monotonic()
+    wins, dead = 0, ([], [])
+    for seed in range(8):
+        data, models = _annealing_pair(seed)
+        loglik = [full_log_likelihood(data, m) for m in models]
+        wins += loglik[0] > loglik[1]
+        for counts, m in zip(dead, models):
+            counts.append(_dead_units(data, m))
+    annealed, plain = (float(np.median(c)) for c in dead)
+    _report(12, f"annealed beats sigma 0 in exact log-likelihood on {wins}/8 "
+                f"seeds; median dead units {annealed:g} vs {plain:g} "
+                f"({time.monotonic() - start:.1f} s)",
+            wins >= 7 and annealed < plain)
 
 
 def _near_tie_case(rng):

@@ -108,7 +108,8 @@ class TestTrain:
         assert np.array_equal(a.model.precision_roots, b.model.precision_roots)
         assert a.rng_state == b.rng_state
 
-    def test_trains_from_idx_input(self, tmp_path):
+    @staticmethod
+    def write_idx_setup(tmp_path, format_line):
         rng = np.random.default_rng(0)
         imgs = rng.integers(0, 256, (60, 2, 2)).astype(np.uint8)
         data_path = tmp_path / "imgs.idx"
@@ -128,11 +129,21 @@ tied = true
 init_dsq = 1.0
 seed = 1
 data = {data_path}
-data_format = idx
+{format_line}
 output_dir = {tmp_path / 'out'}
 image_rows = 2
 image_cols = 2
 """)
+        return cfg
+
+    def test_trains_from_idx_input(self, tmp_path):
+        cfg = self.write_idx_setup(tmp_path, "data_format = idx")
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert load_checkpoint(tmp_path / "out" / "model.ckpt").model.dim == 4
+
+    def test_detects_idx_input_without_data_format(self, tmp_path):
+        # data_format defaults to auto, as the --format of score does.
+        cfg = self.write_idx_setup(tmp_path, "")
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert load_checkpoint(tmp_path / "out" / "model.ckpt").model.dim == 4
 
@@ -155,6 +166,8 @@ image_cols = 2
         ("image_rows = 1\nimage_cols = 2", "image_rows = -1\nimage_cols = -2"),
         ("seed = 5", "seed = 5\ntau_convention = continuous"),
         ("seed = 5", "seed = 5\nshuffle = replacement"),
+        ("seed = 5", "seed = 5\nseed = 6"),
+        ("grid = 2d", "grid = 2d\n# grid = 1d\nsigma0 = 1.0"),
         # Sizes numpy cannot allocate on any machine: a K x K kernel, and in
         # the exact regime, which has no kernel, the K x D centroids.
         ("components = 4", "components = 100000000000000000000"),
@@ -169,9 +182,16 @@ image_cols = 2
         assert "usage error" in err
         assert "Traceback" not in err
         for line in new.splitlines():
-            key = line.partition("=")[0].strip()
-            if key not in cli.CONFIG_KEYS:
+            key = line.partition("#")[0].partition("=")[0].strip()
+            if key and key not in cli.CONFIG_KEYS:
                 assert f"unknown key {key!r}" in err
+        # A key set twice is named with the lines of both settings.
+        keys = [line.partition("#")[0].partition("=")[0].strip()
+                for line in cfg.read_text().splitlines()]
+        for key in set(keys) - {""}:
+            at = [n for n, k in enumerate(keys, 1) if k == key]
+            if len(at) > 1:
+                assert f"line {at[1]}: key {key!r} repeats line {at[0]}" in err
 
     def test_undecodable_config_exit_1(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)

@@ -1203,57 +1203,81 @@ class TestDetectCollapse:
         assert detect_collapse(m, self._stats(data), data) == "healthy"
 
 
-class TestMaxPairwiseDistance:
-    """The row-by-row spread of detect_collapse against the broadcast
-    formula it replaced, bit for bit."""
+def broadcast_spread(mu):
+    """The largest entry of the K x K broadcast ``np.linalg.norm`` matrix:
+    the spread whose verdict ``_spread_below`` gives."""
+    return np.max(np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=2))
 
-    @staticmethod
-    def broadcast(mu):
-        return np.max(np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=2))
+
+def oracle_below(mu, threshold):
+    return broadcast_spread(mu) < threshold
+
+
+def assert_verdicts_match(mu):
+    """_spread_below against the oracle at thresholds around the spread,
+    around row 0's largest distance and at fixed values."""
+    spread = broadcast_spread(mu)
+    row0 = np.max(np.linalg.norm(mu - mu[0], axis=1))
+    near = [np.nextafter(v, side) for v in (spread, row0) for side in (0.0, np.inf)]
+    thresholds = [0.0, 1e-300, 1e-3, 1.0, np.inf, np.nan, spread, row0, *near]
+    for threshold in thresholds:
+        assert trainer_mod._spread_below(mu, threshold) == oracle_below(mu, threshold)
+    return len(thresholds)
+
+
+class TestMaxPairwiseDistance:
+    """The spread test of detect_collapse, ``_spread_below``, gives the
+    verdict of the broadcast maximum pairwise distance, bit for bit."""
 
     @pytest.mark.parametrize("K,D", [(1, 3), (2, 1), (4, 2), (9, 17), (25, 784)])
     def test_random(self, rng, K, D):
         for scale in (1e-6, 1.0, 1e6):
-            mu = scale * rng.normal(size=(K, D))
-            got = trainer_mod._max_pairwise_distance(mu)
-            assert got.tobytes() == self.broadcast(mu).tobytes()
+            assert_verdicts_match(scale * rng.normal(size=(K, D)))
 
     def test_degenerate(self, rng):
         mu = np.tile(rng.normal(size=3), (5, 1))
-        assert trainer_mod._max_pairwise_distance(mu) == self.broadcast(mu) == 0.0
+        assert broadcast_spread(mu) == 0.0
+        assert_verdicts_match(mu)
+        assert trainer_mod._spread_below(mu, 1e-300)
+        assert not trainer_mod._spread_below(mu, 0.0)
 
     def test_k1(self):
-        assert trainer_mod._max_pairwise_distance(np.array([[1.0, -2.0]])) == 0.0
+        mu = np.array([[1.0, -2.0]])
+        assert_verdicts_match(mu)
+        assert trainer_mod._spread_below(mu, 1e-300)
+        assert not trainer_mod._spread_below(mu, 0.0)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_row_gives_nan(self, rng, bad):
-        # inf - inf on the diagonal is NaN in the broadcast formula too.
-        mu = rng.normal(size=(4, 2))
-        mu[2, 1] = bad
-        assert np.isnan(self.broadcast(mu))
-        assert np.isnan(trainer_mod._max_pairwise_distance(mu))
+        # inf - inf on the diagonal is NaN in the broadcast formula too, and
+        # a NaN spread is below no threshold.
+        for row in (0, 2):
+            mu = rng.normal(size=(4, 2))
+            mu[row, 1] = bad
+            assert np.isnan(broadcast_spread(mu))
+            assert_verdicts_match(mu)
+            assert not trainer_mod._spread_below(mu, np.inf)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_verdicts_match(self, rng, monkeypatch):
         data = random_data(rng, 60, 2)
         stats = DataStats.from_data(data)
         models = [random_model(rng, 4, 2, tied=True) for _ in range(20)]
         for m in models[::2]:
             m.centroids *= 1e-9
+        models[3].centroids[0, 1] = np.inf
+        models[4].centroids[2, 0] = np.nan
         got = [detect_collapse(m, stats, data) for m in models]
-        monkeypatch.setattr(trainer_mod, "_max_pairwise_distance", self.broadcast)
+        monkeypatch.setattr(trainer_mod, "_spread_below", oracle_below)
         assert got == [detect_collapse(m, stats, data) for m in models]
         assert {"healthy", "degenerate"} <= set(got)
 
 
 class TestSpreadBelow:
-    """detect_collapse's spread test, which takes the full maximum only when
-    row 0's distances do not clear the threshold, against the full
-    maximum."""
-
-    @staticmethod
-    def full(mu, threshold):
-        return trainer_mod._max_pairwise_distance(mu) < threshold
+    """``_spread_below`` goes over the rows and stops at the first whose
+    largest distance to itself and the rows after it is not below the
+    threshold; its verdict is the broadcast oracle's."""
 
     @staticmethod
     def cases(rng):
@@ -1263,7 +1287,7 @@ class TestSpreadBelow:
             yield np.tile(rng.normal(size=D), (K, 1))  # degenerate
             yield np.tile(rng.normal(size=D), (K, 1)) + 1e-9 * rng.normal(size=(K, D))
             mu = rng.normal(size=(K, D))
-            mu[0] = mu.mean(axis=0)  # row 0 in the middle: its bound is loose
+            mu[0] = mu.mean(axis=0)  # row 0 in the middle: its distances are short
             yield mu
             for bad in (np.nan, np.inf, -np.inf):
                 for row in {0, K - 1}:
@@ -1271,20 +1295,9 @@ class TestSpreadBelow:
                     mu[row, D // 2] = bad
                     yield mu
 
-    @staticmethod
-    def thresholds(mu):
-        spread = trainer_mod._max_pairwise_distance(mu)
-        bound = np.sqrt(trainer_mod._largest_sq_distance_from(mu, 0))
-        near = [np.nextafter(v, side) for v in (spread, bound) for side in (0.0, np.inf)]
-        return [0.0, 1e-300, 1e-3, 1.0, np.inf, np.nan, spread, bound, *near]
-
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matches_the_full_maximum(self, rng):
-        n = 0
-        for mu in self.cases(rng):
-            for threshold in self.thresholds(mu):
-                assert trainer_mod._spread_below(mu, threshold) == self.full(mu, threshold)
-                n += 1
+        n = sum(assert_verdicts_match(mu) for mu in self.cases(rng))
         assert n > 600
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1306,17 +1319,36 @@ class TestSpreadBelow:
                     m.centroids[row, 2] = bad
                     models.append(m)
         got = [detect_collapse(m, stats, data) for m in models]
-        monkeypatch.setattr(trainer_mod, "_spread_below", self.full)
+        monkeypatch.setattr(trainer_mod, "_spread_below", oracle_below)
         assert got == [detect_collapse(m, stats, data) for m in models]
         assert {"healthy", "degenerate"} <= set(got)
 
-    def test_a_clearing_row_0_skips_the_full_maximum(self, rng, monkeypatch):
-        def refuse(mu):
-            raise AssertionError("full maximum computed")
+    @staticmethod
+    def rows_visited(monkeypatch, mu, threshold):
+        """_spread_below's verdict and the rows it measured from, one
+        ``np.square`` call per row."""
+        calls = []
+        square = np.square
+        monkeypatch.setattr(np, "square", lambda a: calls.append(a.shape[0]) or square(a))
+        below = trainer_mod._spread_below(mu, threshold)
+        monkeypatch.setattr(np, "square", square)
+        return below, [mu.shape[0] - n for n in calls]
 
-        monkeypatch.setattr(trainer_mod, "_max_pairwise_distance", refuse)
+    def test_a_clearing_row_0_skips_the_full_maximum(self, rng, monkeypatch):
         mu = rng.normal(size=(25, 784))
-        assert not trainer_mod._spread_below(mu, 1e-3)
+        assert self.rows_visited(monkeypatch, mu, 1e-3) == (False, [0])
+
+    def test_stops_at_the_first_row_not_below(self, rng, monkeypatch):
+        # Rows 0 and 1 near the middle, rows 2 and 3 a distance 2 apart on
+        # either side of it: only row 2 sees the full distance.
+        mu = np.zeros((5, 3))
+        mu[1, 0] = 0.1
+        mu[2, 1], mu[3, 1] = 1.0, -1.0
+        threshold = 1.5
+        assert broadcast_spread(mu) == 2.0
+        assert np.max(np.linalg.norm(mu[:2, None] - mu[None], axis=2)) < threshold
+        assert self.rows_visited(monkeypatch, mu, threshold) == (False, [0, 1, 2])
+        assert self.rows_visited(monkeypatch, mu, 2.5) == (True, [0, 1, 2, 3, 4])
 
 
 def _one_draw_per_step(config, data):
@@ -1440,6 +1472,31 @@ class TestTrain:
         assert counts["topologies"] <= 3
         assert state.kernel.g.base is None  # the kernel owns its values
         assert not state.topology.distance_sq.flags.writeable
+
+    def test_every_step_uses_the_kernel_of_its_sigma(self, monkeypatch):
+        # The kernel is rebuilt exactly when sigma changes, the one-ulp step
+        # to sigma_inf after t_inf included, and only then.
+        builds, sigmas = [], []
+        original_step = trainer_mod.sgd_step
+
+        def counting_build_kernel(topology, sigma):
+            builds.append(sigma)
+            return build_kernel(topology, sigma)
+
+        def checked_step(state, batch, config):
+            sigmas.append(trainer_mod._sigma(config, state.t))
+            original_step(state, batch, config)
+            assert state.kernel.sigma == sigmas[-1]
+            assert state.kernel.g.tobytes() == build_kernel(state.topology,
+                                                            sigmas[-1]).g.tobytes()
+
+        monkeypatch.setattr(trainer_mod, "build_kernel", counting_build_kernel)
+        monkeypatch.setattr(trainer_mod, "sgd_step", checked_step)
+        cfg = annealed_benchmark_config(T=400)
+        cfg.seed = 4
+        run(cfg, four_cluster_data(4))
+        assert len(sigmas) == 400
+        assert builds == list(dict.fromkeys(sigmas))
 
     def test_tied_batch1_run_steps_and_pulls_once_per_iteration(self, monkeypatch):
         # The benchmark cross-checks both call counts against T.
