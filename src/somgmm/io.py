@@ -27,6 +27,7 @@ import hashlib
 import io as _io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -382,13 +383,17 @@ def emit_schedule_trace(history, path):
 # ---------------------------------------------------------------------------
 # Run configuration (flat key=value text file)
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config(path, parsers) -> dict:
     """Parse a flat key=value config into a dict holding the keys the file
     sets, each value converted by ``parsers[key]``; a key without a parser is
-    unknown, and a key set twice is refused."""
+    unknown, and a key set twice is refused.  A ``#`` starts a comment at
+    the start of a line or after whitespace only, so a value may hold one."""
     values, first = {}, {}
     for lineno, line in enumerate(_text_lines(path, UsageError), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

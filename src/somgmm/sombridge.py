@@ -3,12 +3,12 @@ mixture, plus an executable check that its energy is the smoothed loss up to
 an affine constant.
 
 The map's best-matching unit and update share the tied training step's
-code: ``bmu`` and ``som_update`` take x - mu once, through
-``backend._difference``, their winner from ``trainer._tied_winner`` (the
-exact argmin of the kernel-convolved squared distances) and
-``som_update`` its pull from ``trainer.neighborhood_pull``.  So an update
-is bitwise a tied single-sample SGD step under the eps/d^2 rate mapping,
-ties included.  ``_convolved_sq_distances`` is the reference formula
+code: ``bmu`` takes x - mu through ``backend._difference`` and its winner
+from ``trainer._tied_winner`` (the exact argmin of the kernel-convolved
+squared distances), and ``som_update`` is ``trainer._tied_update``, the
+function behind the tied single-sample SGD step, at rate epsilon with the
+full pull.  So an update is bitwise such a step under the eps/d^2 rate
+mapping, ties included.  ``_convolved_sq_distances`` is the reference formula
 behind ``som_energy`` and ``verify_equivalence``.
 """
 
@@ -21,7 +21,7 @@ from . import backend, model as mc
 from .exceptions import UsageError
 from .model import DataSet, MixtureModel, HALF_LOG_2PI
 from .topology import GridTopology, NeighborhoodKernel
-from .trainer import _tied_winner, neighborhood_pull
+from .trainer import _tied_update, _tied_winner, neighborhood_pull  # noqa: F401
 
 
 class SomView:
@@ -89,10 +89,7 @@ def som_update(view: SomView, x, epsilon: float):
     if not 0 <= epsilon < math.inf:
         raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
-    mu = view.prototypes
-    diff = backend._difference(x, mu)
-    winner, _ = _tied_winner(view.kernel.g, x, mu, diff)
-    neighborhood_pull(mu, epsilon * view.kernel.g[winner], diff)
+    _tied_update(view.prototypes, view.kernel.g, x, epsilon, False)
     return view
 
 

@@ -134,8 +134,6 @@ class AnnealingSchedule:
             return self.value0
         if t > self.t_inf:
             return self.value_inf
-        if self.value0 == self.value_inf:
-            return self.value0
         return self.value0 * math.exp(-self.tau * (t - self.t0))
 
 

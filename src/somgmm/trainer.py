@@ -123,10 +123,11 @@ class TrainState:
     model's, are fixed for the run: ``make_state`` validates the starting
     model and keeps ``tied_terms = (d, weights, p, one_row, mu)`` with the
     scalar ``p = d^2`` of the pull, whether the one-row pull is exact and
-    the centroids it was judged on (see ``_tied_terms``).  A tied step uses
-    them while the model holds those same arrays, d and the weights still
-    read-only; another model, a copy included, or arrays made writeable
-    again, are validated and get fresh terms first."""
+    the centroids it was judged on (see ``_tied_terms``), for the update
+    ``_tied_update`` that the step shares with ``sombridge.som_update``.  A
+    tied step uses them while the model holds those same arrays, d and the
+    weights still read-only; another model, a copy included, or arrays made
+    writeable again, are validated and get fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -324,7 +325,10 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     else:
         kernel = _regime_kernel(state, config, sigma)
         if terms is not None and batch.count == 1:
-            _tied_sample_step(model, terms, batch, kernel, eps)
+            g = mc._kernel_matrix(model, kernel)
+            mc._check_dims(batch, model)
+            _tied_update(model.centroids, g, batch.samples[0], eps * terms[2],
+                         terms[3] and kernel.is_identity)
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
             enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
@@ -343,7 +347,7 @@ def _tied_terms(state: TrainState) -> tuple:
     made from, or d or the weights were made writeable again: the model is
     validated, p is the pull's scalar d^2, and one_row says that the
     centroids mu held no -0.0 when the terms were made (see
-    ``_tied_sample_step``)."""
+    ``_tied_update``)."""
     terms, model = state.tied_terms, state.model
     d, weights, mu = model.precision_roots, model.weights, model.centroids
     if (terms is None or terms[0] is not d or terms[1] is not weights
@@ -358,8 +362,8 @@ def _tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, diff: np.ndarray)
     """The winner for one row x of a tied model, from ``diff = x - mu``:
     the least V_k = sum_j g_kj ||x - mu_j||^2 over the float inputs, lowest
     index on exact ties, and whether the fast path settled it (so diff is
-    finite).  ``sombridge.bmu``, ``sombridge.som_update`` and
-    ``_tied_sample_step`` all take their winner from here.
+    finite).  ``sombridge.bmu`` and ``_tied_update``, behind
+    ``sombridge.som_update`` and the tied step, take their winner from here.
 
     A tied model has one normaliser b and one precision P, so the smoothed
     score of row k is b r_k - (P/2) V_k with row sums r_k = sum_j g_kj;
@@ -402,19 +406,26 @@ def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray) -> int:
     """The least V_k = sum_j g_kj ||x - mu_j||^2, lowest index on ties,
     computed exactly in Python integers: every float is n / 2^m
     (``float.as_integer_ratio``), so x and the finite rows of mu, and
-    apart from them g, are integers on one common scale.  A finite x and
-    mu whose difference would overflow a float stay exact.  A non-finite
-    entry in x or in row j of mu puts mu_j infinitely far: every k with
-    g_kj > 0 gets V_k = inf, and when every V is infinite the winner is 0.
+    apart from them g, are integers on one common scale.  Equal rows have
+    equal distances, so each distinct row is measured once.  A finite x
+    and mu whose difference would overflow a float stay exact.  A
+    non-finite entry in x or in row j of mu puts mu_j infinitely far: every
+    k with g_kj > 0 gets V_k = inf, and when every V is infinite the winner
+    is 0.
     """
     K, D = mu.shape
     sq = [math.inf] * K
-    near = np.flatnonzero(np.isfinite(mu).all(axis=1)) if np.isfinite(x).all() else []
-    if len(near):
-        ints = _on_common_scale(x.tolist() + mu[near].ravel().tolist())
+    rows = {}  # distinct finite row -> the indices j that hold it
+    if np.isfinite(x).all():
+        for j in np.flatnonzero(np.isfinite(mu).all(axis=1)).tolist():
+            rows.setdefault(tuple(mu[j].tolist()), []).append(j)
+    if rows:
+        ints = _on_common_scale(x.tolist() + [v for row in rows for v in row])
         xs = ints[:D]
-        for n, j in enumerate(near.tolist(), 1):
-            sq[j] = sum((a - b) ** 2 for a, b in zip(xs, ints[n * D:(n + 1) * D]))
+        for n, near in enumerate(rows.values(), 1):
+            q = sum((a - b) ** 2 for a, b in zip(xs, ints[n * D:(n + 1) * D]))
+            for j in near:
+                sq[j] = q
     gs = _on_common_scale(g.ravel().tolist())
     v = [sum(c * q for c, q in zip(gs[k * K:(k + 1) * K], sq) if c) for k in range(K)]
     return v.index(min(v))
@@ -428,33 +439,27 @@ def _on_common_scale(values: list) -> list:
     return [n * (scale // d) for n, d in ratios]
 
 
-def _tied_sample_step(model: MixtureModel, terms: tuple, batch: DataSet,
-                      kernel: NeighborhoodKernel, eps: float):
-    """Single-sample tied update, bit-identical to the prototype-map rule
-    ``sombridge.som_update`` under the eps/d^2 rate mapping: x - mu is
-    computed once, the winner w is ``_tied_winner``'s, and the pull scales
-    the same difference by ``(eps * p) * g[w]``.  ``p`` is the run's
-    scalar d^2, so the step never reads d or the weights.
+def _tied_update(mu: np.ndarray, g: np.ndarray, x: np.ndarray, rate: float, one_row: bool):
+    """The tied single-sample update, in place, behind both
+    ``sombridge.som_update`` (rate epsilon) and the tied step of
+    ``sgd_step`` (rate eps * p, p the run's d^2, so d and the weights are
+    never read): x - mu is taken once, the winner w is ``_tied_winner``'s,
+    and the pull scales that difference by ``rate * g[w]``.
 
-    When the fast path settled the winner (so diff is finite) and the
-    kernel is the identity, only the winner's row is pulled, through
-    one-row views.  A zero coefficient changes a finite centroid entry only
-    when it is -0.0 and x_i >= 0, which it turns into +0.0, and a pull
-    never makes a -0.0; so the one-row pull is bitwise the full pull for a
-    model whose centroids held no -0.0 when ``_tied_terms`` made its terms,
-    and a model that held one takes the full pull.
+    With ``one_row`` set and the winner settled by the fast path (so diff
+    is finite), only row w is pulled, through one-row views.  The step
+    sets it for the identity kernel when ``_tied_terms`` found no -0.0 in
+    the centroids: a zero coefficient changes a finite entry only when it
+    is -0.0 and x_i >= 0 (to +0.0), and a pull never makes a -0.0, so the
+    one-row pull is then bitwise the full pull.
     """
-    p, one_row = terms[2], terms[3]
-    g = mc._kernel_matrix(model, kernel)
-    mc._check_dims(batch, model)
-    x, mu = batch.samples[0], model.centroids
     diff = backend._difference(x, mu)
     w, settled = _tied_winner(g, x, mu, diff)
-    if settled and one_row and kernel.is_identity:
+    if settled and one_row:
         row = slice(w, w + 1)
-        neighborhood_pull(mu[row], (eps * p) * g[w, row], diff[row])
+        neighborhood_pull(mu[row], rate * g[w, row], diff[row])
     else:
-        neighborhood_pull(mu, (eps * p) * g[w], diff)
+        neighborhood_pull(mu, rate * g[w], diff)
 
 
 def _apply(model, config, eps, gmu, gd, gpi):

@@ -168,6 +168,7 @@ image_cols = 2
         ("seed = 5", "seed = 5\nshuffle = replacement"),
         ("seed = 5", "seed = 5\nseed = 6"),
         ("grid = 2d", "grid = 2d\n# grid = 1d\nsigma0 = 1.0"),
+        ("eps0 = 0.1", "eps0 = 0.05#x"),  # '#' after a value is part of it
         # Sizes numpy cannot allocate on any machine: a K x K kernel, and in
         # the exact regime, which has no kernel, the K x D centroids.
         ("components = 4", "components = 100000000000000000000"),

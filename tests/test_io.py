@@ -738,6 +738,16 @@ data = points.csv
             path.write_text(text)
             assert to_train_config(load_config(path, CONFIG_PARSERS)) == want
 
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# header\ndata = runs/h#dir/d.csv\ncomponents = 4   # note\n"
+                        "seed = 3\t# tab\n  # indented\n")
+        assert load_config(path, CONFIG_PARSERS) == {
+            "data": "runs/h#dir/d.csv", "components": 4, "seed": 3}
+        path.write_text("eps0 = 0.05#x\n")
+        with pytest.raises(UsageError, match=r"line 1: bad value '0.05#x' for eps0"):
+            load_config(path, CONFIG_PARSERS)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("loss_regime = smoothed\nbogus_key = 3\n")

@@ -161,7 +161,8 @@ class TestSomUpdate:
 
     def test_shares_the_tied_steps_winner_and_difference(self, rng, monkeypatch):
         # bmu, som_update and the tied sgd_step take their winner from one
-        # helper, and each step takes x - mu once.
+        # helper, and each step takes x - mu once; som_update and the tied
+        # one-row step run one shared update.
         calls = []
 
         def counting(name, fn):
@@ -170,6 +171,9 @@ class TestSomUpdate:
         winner = counting("winner", trainer._tied_winner)
         monkeypatch.setattr(trainer, "_tied_winner", winner)
         monkeypatch.setattr(sombridge, "_tied_winner", winner)
+        update = counting("update", trainer._tied_update)
+        monkeypatch.setattr(trainer, "_tied_update", update)
+        monkeypatch.setattr(sombridge, "_tied_update", update)
         monkeypatch.setattr(backend, "_difference", counting("difference", backend._difference))
         view = tied_view(rng)
         x = rng.normal(size=3)
@@ -178,11 +182,13 @@ class TestSomUpdate:
                           tied_spherical=True, seed=0)
         state = make_state(cfg, DataSet(x[None, :]))
         state.model = view.model.copy()
-        for step in (lambda: bmu(x, view), lambda: som_update(view, x, 0.1),
-                     lambda: sgd_step(state, DataSet(x[None, :]), cfg)):
+        for step, want in ((lambda: bmu(x, view), ["difference", "winner"]),
+                           (lambda: som_update(view, x, 0.1), ["update", "difference", "winner"]),
+                           (lambda: sgd_step(state, DataSet(x[None, :]), cfg),
+                            ["update", "difference", "winner"])):
             calls.clear()
             step()
-            assert calls == ["difference", "winner"]
+            assert calls == want
 
     def test_equals_sgd_step_after_rate_mapping(self, rng):
         # One update must be bit-identical to a smoothed-regime step on the

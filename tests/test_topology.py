@@ -178,6 +178,19 @@ class TestAnnealingSchedule:
         assert asdict(self.s) == asdict(fresh) and self.s == fresh
         assert set(asdict(self.s)) == {"value0", "value_inf", "t0", "t_inf"}
 
+    def test_flat_schedule_keeps_its_value_bitwise(self):
+        # value0 == value_inf makes tau 0.0, and value0 * exp(-0.0 * (t - t0))
+        # is value0 bitwise at every time in [t0, t_inf].
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            v = float(10.0 ** rng.uniform(-300, 300))
+            t0 = float(rng.choice([0.0, rng.uniform(0, 1e6)]))
+            t_inf = t0 + float(10.0 ** rng.uniform(-3, 6))
+            s = AnnealingSchedule(v, v, t0, t_inf)
+            assert s.tau == 0.0
+            for t in (t0, t_inf, rng.uniform(t0, t_inf), 0.5 * (t0 + t_inf)):
+                assert s.value_at(t) == v
+
     def test_invalid_parameters(self):
         with pytest.raises(UsageError):
             AnnealingSchedule(0.01, 1.2, 0, 10)

@@ -886,7 +886,8 @@ def assert_tied_step_exact(model, kernel, eps, x, terms=None):
     if terms is None:
         terms = tied_terms_of(model, model.n_components)
     want = model.copy()
-    trainer_mod._tied_sample_step(model, terms, DataSet(x[None, :]), kernel, eps)
+    trainer_mod._tied_update(model.centroids, kernel.g, x, eps * terms[2],
+                             terms[3] and kernel.is_identity)
     frozen_tied_step(want, terms, kernel, eps, x)
     assert model.centroids.tobytes() == want.centroids.tobytes()
 
@@ -989,6 +990,34 @@ class TestTiedWinnerGuard:
             g, mu = kernel.g, model.centroids
             assert trainer_mod._exact_tied_winner(g, x, mu) == fraction_winner(g, x, mu)
 
+    @pytest.mark.parametrize("K", [4, 25])
+    def test_equal_rows_measured_once(self, rng, monkeypatch, K):
+        # Equal rows have equal distances, so the fallback measures each
+        # distinct row of mu once: its first common scale holds x and the
+        # distinct rows, its second g.  -0.0 equals 0.0, and a non-finite
+        # row is not measured.
+        D = 64
+        scaled = []
+
+        def recording(values, _fn=trainer_mod._on_common_scale):
+            scaled.append(len(values))
+            return _fn(values)
+
+        monkeypatch.setattr(trainer_mod, "_on_common_scale", recording)
+        x = rng.normal(size=D)
+        for sigma in (1e-7, 0.8):
+            g = build_kernel(grid_topology(K), sigma).g
+            mu = np.tile(rng.normal(size=D), (K, 1))
+            assert EXACT_WINNER(g, x, mu) == fraction_winner(g, x, mu)
+            assert scaled[-2:] == [(1 + 1) * D, K * K]
+            a, b = rng.normal(size=(2, D))
+            a[0] = 0.0
+            mu = np.array([a, b] * K)[:K]
+            mu[K - 1, 0] = -0.0
+            mu[1, 5] = np.inf
+            assert EXACT_WINNER(g, x, mu) == fraction_winner(g, x, mu)
+            assert scaled[-2:] == [(1 + 2) * D, K * K]
+
     @pytest.mark.parametrize("sigma", [1e-7, 0.8])
     @pytest.mark.parametrize("K", [4, 25])
     def test_duplicate_centroids(self, rng, winner_calls, sigma, K):
@@ -1074,15 +1103,15 @@ class TestOneRowPull:
         per tied step."""
         steps = []
 
-        def recording_step(model, terms, batch, kernel, eps, _fn=trainer_mod._tied_sample_step):
-            steps.append([np.count_nonzero(kernel.g) == kernel.n_components, model.centroids])
-            return _fn(model, terms, batch, kernel, eps)
+        def recording_step(mu, g, x, rate, one_row, _fn=trainer_mod._tied_update):
+            steps.append([np.count_nonzero(g) == g.shape[0], mu])
+            return _fn(mu, g, x, rate, one_row)
 
         def recording_pull(centroids, coeff, diff, _fn=neighborhood_pull):
             steps[-1][1] = (centroids.shape[0], centroids.base is steps[-1][1])
             return _fn(centroids, coeff, diff)
 
-        monkeypatch.setattr(trainer_mod, "_tied_sample_step", recording_step)
+        monkeypatch.setattr(trainer_mod, "_tied_update", recording_step)
         monkeypatch.setattr(trainer_mod, "neighborhood_pull", recording_pull)
         return steps
 
@@ -1125,8 +1154,8 @@ class TestOneRowPull:
         for idx in trainer_mod._batch_indices(cfg, np.random.default_rng(9), 50, 0):
             x = data.samples[idx[0]]
             frozen_tied_step(want, forced, kernel, EPS, x)
-            trainer_mod._tied_sample_step(state.model, forced, DataSet(x[None, :]),
-                                          kernel, EPS)
+            trainer_mod._tied_update(state.model.centroids, kernel.g, x, EPS * forced[2],
+                                     forced[3] and kernel.is_identity)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         # The one-row pull, were it taken, would keep the far rows' -0.0.
         assert np.array_equal(state.model.centroids, want.centroids)
