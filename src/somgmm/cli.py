@@ -113,10 +113,12 @@ def _cmd_train(args):
     data = _load_data(cfg["data"], cfg.get("data_format", "auto"))
     shape = (cfg.get("image_rows", 1), cfg.get("image_cols", data.dim))
     sio.check_image_shape(shape, data.dim)
-    state = train_run(tc, data)
-
+    # Made before training, so an output_dir that cannot be made fails at
+    # once; a run that aborts leaves it as it found it or empty.
     outdir = Path(cfg.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
+    state = train_run(tc, data)
+
     ckpt = sio.Checkpoint(
         model=state.model,
         loss_regime=tc.loss_regime,

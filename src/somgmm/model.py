@@ -23,6 +23,9 @@ D_MAX = 1e3
 # Weights are floored here after renormalization so log(pi) stays finite.
 WEIGHT_FLOOR = 1e-8
 
+# Smoothing clamps log-joints up to this floor (see ``_smooth``).
+LOG_JOINT_FLOOR = -1e300
+
 
 def _require_size(shape, what):
     """Refuse with a UsageError, before anything is allocated, a float64
@@ -64,10 +67,13 @@ class MixtureModel:
 
     def __setattr__(self, name, value):
         if name == "weights":
-            value = _freeze(np.ascontiguousarray(value, dtype=np.float64))
+            if not _stored_as_is(value, 1):
+                value = _freeze(np.ascontiguousarray(value, dtype=np.float64))
         elif name == "precision_roots":
-            value = _freeze(_as_matrix(value, name))
-        object.__setattr__(self, name, value)
+            if not _stored_as_is(value, 2):
+                value = _freeze(_as_matrix(value, name))
+        # No field is a descriptor, so this is object.__setattr__'s store.
+        self.__dict__[name] = value
 
     def __setstate__(self, state):
         # Unpickling and copy.deepcopy set the attributes through the hook.
@@ -121,6 +127,22 @@ class MixtureModel:
         precision roots."""
         return MixtureModel(self.weights, self.centroids.copy(),
                             self.precision_roots, self.tied_spherical)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _stored_as_is(value, ndim):
+    """Whether ``value`` is a frozen (see ``backend._frozen``), C-contiguous
+    float64 ndarray of rank ``ndim``: an array that the conversions and
+    ``_freeze`` would return as it is, so the store keeps it without
+    calling them.  The dtype is tested by identity, which every native
+    float64 array that numpy makes passes; any other array takes the
+    conversions, which give it the same treatment as before."""
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT64 or value.ndim != ndim:
+        return False
+    flags = value.flags
+    return flags.c_contiguous and flags.owndata and not flags.writeable
 
 
 def _freeze(arr):
@@ -234,7 +256,7 @@ def _smooth(lj: np.ndarray, g: np.ndarray) -> np.ndarray:
     """N x K matrix of sum_j g_kj lj_nj for log-joints lj."""
     # Clamp -inf joints (zero weights) so identity-kernel zeros cannot
     # produce 0 * -inf = nan in the convolution.
-    return np.maximum(lj, -1e300) @ g.T
+    return np.maximum(lj, LOG_JOINT_FLOOR) @ g.T
 
 
 def smoothed_log_joints(data: DataSet, model: MixtureModel, kernel) -> np.ndarray:

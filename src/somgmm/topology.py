@@ -2,7 +2,7 @@
 schedule for the radius sigma(t) and the learning rate eps(t)."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,22 +69,25 @@ def grid_distance_sq(topology: GridTopology, j: int, k: int) -> float:
 @dataclass(frozen=True)
 class NeighborhoodKernel:
     """Row-stochastic K x K smoothing matrix g, tagged with the sigma that
-    produced it."""
+    produced it.
+
+    ``is_identity`` says whether g is the identity matrix, so that each row
+    couples its own component alone (a -0.0 off the diagonal is a zero).
+    It is computed once, at construction: g is not changed after the
+    kernel is built.  It is not a compared field."""
 
     g: np.ndarray
     sigma: float
+    is_identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = self.g
+        object.__setattr__(self, "is_identity", bool(
+            np.count_nonzero(g) == g.shape[0] and (g.diagonal() == 1.0).all()))
 
     @property
     def n_components(self):
         return self.g.shape[0]
-
-    @cached_property
-    def is_identity(self):
-        """Whether g is the identity matrix, so that each row couples its own
-        component alone; computed once per kernel, whose g is not changed
-        after it is built."""
-        g = self.g
-        return bool(np.count_nonzero(g) == g.shape[0] and (g.diagonal() == 1.0).all())
 
 
 def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
@@ -95,7 +98,9 @@ def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     K = topology.n_components
     if sigma < IDENTITY_SIGMA:
         return NeighborhoodKernel(np.eye(K), sigma)
-    g = np.exp(-topology.distance_sq / (2.0 * sigma * sigma))
+    # Bitwise exp(-dist2 / (2 sigma^2)), one pass fewer: IEEE products and
+    # quotients are sign-symmetric, and a zero distance still gives -0.0.
+    g = np.exp(topology.distance_sq / (-2.0 * sigma * sigma))
     g /= np.add.reduce(g, axis=1, keepdims=True)
     return NeighborhoodKernel(g, sigma)
 

@@ -217,14 +217,25 @@ def _sample_gradients(batch: DataSet, model: MixtureModel, kernel: NeighborhoodK
     """``grad_smoothed`` of a one-row batch; see ``grad_smoothed`` for why
     it is bitwise ``_moment_gradients`` of the winner's row: the log-joint
     row made from ``diff = x - mu`` is smoothed by the couplings g and
-    argmaxed (ties: lowest index)."""
+    argmaxed (ties: lowest index).
+
+    Under the identity kernel the winner is the argmax w of the log-joint
+    row itself while ``LOG_JOINT_FLOOR < lj[w] < inf``: the clamped row
+    times the identity is the clamped row, a maximum above the floor is
+    not clamped and keeps the first index of the maximum, and it rules out
+    NaN, because ``argmax`` returns the first NaN.  A row maximum at or
+    below the floor, a NaN or +inf (where inf * 0 makes NaN scores) takes
+    the smoothing, as every other kernel does."""
     d, weights = model.precision_roots, model.weights
     base, psq = backend._fresh_terms(weights, d)
     g = mc._kernel_matrix(model, kernel)
     mc._check_dims(batch, model)
     diff = backend._difference(batch.samples[0], model.centroids)
-    scores = mc._smooth(backend._difference_row(base, psq, diff)[None, :], g)
-    coupling = g[scores.argmax(axis=1)[0]]
+    lj = backend._difference_row(base, psq, diff)
+    w = lj.argmax() if kernel.is_identity else None
+    if w is None or not mc.LOG_JOINT_FLOOR < lj[w] < math.inf:
+        w = mc._smooth(lj[None, :], g).argmax(axis=1)[0]
+    coupling = g[w]
     W = coupling[:, None]
     gmu = (W * psq) * diff
     gmu += 0.0
@@ -555,17 +566,21 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
     iteration, rng state) continues exactly where the original left off.
     The minibatch indices come from ``_batch_indices``, which draws them
     with replacement, in blocks, and leaves the rng stream of one draw per
-    step.
+    step.  A one-row batch is the basic-index view ``samples[i, None]`` of
+    its row, which holds the same values as the copy ``samples[[i]]`` that
+    a larger batch's index array makes, without the copy.
     """
-    mc._require_finite(data.samples)
+    samples = data.samples
+    mc._require_finite(samples)
     state = make_state(config, data, resume)
     if state.t == 0:
         if config.loss_regime != "exact":
             _regime_kernel(state, config, _sigma(config, 0))
         _log_row(state, config)
+    one_row = config.batch_size == 1
     for idx in _batch_indices(config, state.rng, data.count, state.t):
-        batch = mc._trusted_dataset(data.samples[idx], {"batch": True})
-        sgd_step(state, batch, config)
+        rows = samples[idx[0], None] if one_row else samples[idx]
+        sgd_step(state, mc._trusted_dataset(rows, {"batch": True}), config)
     return state
 
 

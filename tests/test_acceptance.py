@@ -232,6 +232,7 @@ def benchmark_runs():
     return annealed, plain
 
 
+@pytest.mark.slow
 def test_07_annealed_benchmark_reproduces_repeated_runs(benchmark_runs):
     start = time.monotonic()
     annealed, _ = benchmark_runs
@@ -242,6 +243,7 @@ def test_07_annealed_benchmark_reproduces_repeated_runs(benchmark_runs):
                f"RMSE <= 0.1*std on {good}/100 seeds", good >= 95 and elapsed < 300)
 
 
+@pytest.mark.slow
 def test_08_annealing_beats_plain_max_component(benchmark_runs):
     annealed, plain = benchmark_runs
     bad_annealed = sum(1 for diag, _ in annealed if diag != "healthy")

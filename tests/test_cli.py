@@ -214,6 +214,29 @@ image_cols = 2
         assert "image shape" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
+    def test_output_dir_made_before_training(self, tmp_path, capsys, monkeypatch):
+        # An output_dir under a regular file cannot be made; the command
+        # exits 2 before it trains.
+        cfg = write_training_setup(tmp_path, total_iters=20000)
+        (tmp_path / "blocker").write_text("a file\n")
+        cfg.write_text(cfg.read_text().replace(
+            f"output_dir = {tmp_path / 'out'}", f"output_dir = {tmp_path / 'blocker' / 'out'}"))
+        trained = []
+        monkeypatch.setattr(cli, "train_run", lambda *args: trained.append(args))
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert trained == []
+
+    def test_output_dir_left_empty_by_a_numeric_abort(self, tmp_path, capsys, monkeypatch):
+        cfg = write_training_setup(tmp_path)
+
+        def abort(*args):
+            raise NumericsError("non-finite loss at iteration 0", snapshot=None)
+
+        monkeypatch.setattr(cli, "train_run", abort)
+        assert cli.main(["train", "--config", str(cfg)]) == 3
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)
         (tmp_path / "train.csv").unlink()

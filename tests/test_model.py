@@ -1,12 +1,14 @@
 import copy
 import math
 import pickle
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from conftest import assert_frozen, random_data, random_model
+import somgmm.model as model_mod
 from somgmm.exceptions import DataError, UsageError
 from somgmm.model import (
     DataSet,
@@ -19,6 +21,7 @@ from somgmm.model import (
     smoothed_log_likelihood,
 )
 from somgmm.topology import GridTopology, NeighborhoodKernel, build_kernel
+from somgmm.trainer import enforce_constraints
 
 mpmath.mp.dps = 40
 
@@ -296,6 +299,76 @@ class TestFrozenArrays:
             m.weights += 0.0
         with pytest.raises(UsageError, match="2-dimensional"):
             m.precision_roots = np.ones(3)
+
+    @staticmethod
+    def converted(name, value):
+        """The store's conversions, which every assignment went through
+        before frozen arrays were kept without them."""
+        if name == "weights":
+            return model_mod._freeze(np.ascontiguousarray(value, dtype=np.float64))
+        return model_mod._freeze(model_mod._as_matrix(value, name))
+
+    @staticmethod
+    def frozen(arr):
+        arr.setflags(write=False)
+        return arr
+
+    class Sub(np.ndarray):
+        pass
+
+    STORE_CASES = {
+        "frozen": lambda shape: TestFrozenArrays.frozen(np.full(shape, 0.5)),
+        "writeable": lambda shape: np.full(shape, 0.5),
+        "read_only_view": lambda shape: TestFrozenArrays.frozen(np.full((2,) + shape, 0.5))[1],
+        "fortran_order": lambda shape: TestFrozenArrays.frozen(
+            np.asfortranarray(np.arange(math.prod(shape), dtype=float).reshape(shape))),
+        "float32": lambda shape: TestFrozenArrays.frozen(np.full(shape, 0.5, np.float32)),
+        "byte_swapped": lambda shape: TestFrozenArrays.frozen(np.full(shape, 0.5, ">f8")),
+        "subclass": lambda shape: TestFrozenArrays.frozen(
+            np.full(shape, 0.5).view(TestFrozenArrays.Sub).copy()),
+        "rank_0": lambda shape: TestFrozenArrays.frozen(np.array(0.5)),
+        "rank_1": lambda shape: TestFrozenArrays.frozen(np.full(shape[-1], 0.5)),
+        "rank_2": lambda shape: TestFrozenArrays.frozen(np.full((1, shape[-1]), 0.5)),
+        "rank_3": lambda shape: TestFrozenArrays.frozen(np.full((1,) + shape, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name, shape", [("weights", (3,)), ("precision_roots", (3, 2))])
+    @pytest.mark.parametrize("case", list(STORE_CASES))
+    def test_store_keeps_frozen_arrays_and_converts_the_rest(self, rng, name, shape, case):
+        # A frozen C-contiguous float64 array of the field's rank is stored
+        # as the same object; every other value is stored, or refused,
+        # exactly as the conversions store or refuse it.
+        m = random_model(rng, 3, 2)
+        value = self.STORE_CASES[case](shape)
+        try:
+            want = self.converted(name, value)
+        except UsageError as exc:
+            with pytest.raises(UsageError, match=re.escape(str(exc))):
+                setattr(m, name, value)
+            assert case in ("rank_0", "rank_1", "rank_3") and name == "precision_roots"
+            return
+        setattr(m, name, value)
+        got = getattr(m, name)
+        assert (got is value) == (want is value)
+        if case == "frozen":
+            assert got is value
+        assert type(got) is type(want) is np.ndarray
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        for flag in ("c_contiguous", "owndata", "writeable"):
+            assert getattr(got.flags, flag) == getattr(want.flags, flag)
+        assert got.tobytes() == want.tobytes()
+
+    def test_frozen_arrays_skip_the_conversions(self, rng, monkeypatch):
+        # The constructor, copy() and the untied training store keep frozen
+        # arrays without converting them.
+        m = random_model(rng, 3, 2)
+        calls = []
+        monkeypatch.setattr(model_mod, "_freeze", lambda arr: calls.append(arr) or arr)
+        MixtureModel(m.weights, m.centroids, m.precision_roots).copy()
+        enforce_constraints(m, m.precision_roots * 2.0, m.weights + 1.0)
+        assert calls == []
+        m.weights = m.weights + 0.0
+        assert len(calls) == 1
 
     def test_pickle_and_deepcopy(self, rng):
         m = random_model(rng, 3, 2)

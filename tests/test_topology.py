@@ -1,6 +1,7 @@
 import itertools
 import math
-from dataclasses import asdict
+import pickle
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from somgmm.exceptions import UsageError
 from somgmm.topology import (
+    IDENTITY_SIGMA,
     AnnealingSchedule,
     GridTopology,
+    NeighborhoodKernel,
     build_kernel,
     epsilon_at,
     grid_distance_sq,
@@ -102,6 +105,49 @@ class TestBuildKernel:
         kernel = build_kernel(GridTopology("2d", K), sigma)
         assert kernel.is_identity is want
         assert kernel.is_identity is np.array_equal(kernel.g, np.eye(K))
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_is_identity_of_a_given_matrix(self, K):
+        # Set at construction from g: -0.0 is a zero, a diagonal entry
+        # other than 1.0 (or NaN) is not the identity.
+        signed = np.eye(K)
+        signed[signed == 0] = -0.0
+        off_one = np.eye(K)
+        off_one[K - 1, K - 1] = 0.5
+        nan_diag = np.eye(K)
+        nan_diag[0, 0] = math.nan
+        for g, want in ((np.eye(K), True), (signed, True), (2.0 * np.eye(K), False),
+                        (off_one, False), (nan_diag, False), (np.ones((K, K)), K == 1)):
+            kernel = NeighborhoodKernel(g, 0.0)
+            assert kernel.is_identity is want
+            assert pickle.loads(pickle.dumps(kernel)).is_identity is want
+        assert "is_identity" not in repr(kernel)
+        with pytest.raises(FrozenInstanceError):
+            kernel.is_identity = True
+
+    @pytest.mark.parametrize("kind, K, periodic", [
+        ("1d", 5, False), ("1d", 6, True), ("2d", 9, True), ("2d", 25, True), ("2d", 16, False),
+    ])
+    def test_sigma_sweep_bitwise_the_negated_quotient(self, kind, K, periodic):
+        # Across IDENTITY_SIGMA and the radius below which every off-diagonal
+        # coupling underflows (exp(-1 / (2 sigma^2)) == 0 from about 0.0259).
+        top = GridTopology(kind, K, periodic)
+        sigmas = np.concatenate([np.geomspace(1e-7, 10.0, 301),
+                                 np.geomspace(0.024, 0.028, 101),
+                                 [np.nextafter(IDENTITY_SIGMA, 0.0), IDENTITY_SIGMA,
+                                  np.nextafter(IDENTITY_SIGMA, 1.0)]])
+        kinds = set()
+        for sigma in sigmas.tolist():
+            if sigma < IDENTITY_SIGMA:
+                want = np.eye(K)
+            else:
+                want = np.exp(-top.distance_sq / (2.0 * sigma * sigma))
+                want /= np.add.reduce(want, axis=1, keepdims=True)
+            kernel = build_kernel(top, sigma)
+            assert kernel.g.tobytes() == want.tobytes()
+            assert kernel.is_identity is np.array_equal(want, np.eye(K))
+            kinds.add((sigma < IDENTITY_SIGMA, kernel.is_identity))
+        assert kinds == {(True, True), (False, True), (False, False)}
 
     def test_non_positive_sigma(self):
         for sigma in (0.0, -1.0, math.nan):

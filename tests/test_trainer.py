@@ -17,6 +17,7 @@ from conftest import (
     random_model,
 )
 import somgmm.backend as backend_mod
+import somgmm.model as mc
 import somgmm.trainer as trainer_mod
 from somgmm.exceptions import DataError, NumericsError, UsageError
 from somgmm.model import (
@@ -157,7 +158,15 @@ class TestGradSmoothed:
             assert np.allclose(gd, egd / n, rtol=1e-10)
             assert np.allclose(gpi, egpi / n, rtol=1e-10)
 
-    CASES = 80  # per kind: 400 random one-row cases
+    CASES = 80  # per kind: 800 random one-row cases
+
+    # Identity-kernel cases whose log-joint row has no maximum above
+    # LOG_JOINT_FLOOR and below inf, so the winner comes from the smoothing:
+    # every joint -inf, every joint at or below the floor, a NaN joint from
+    # a NaN centroid row or from an infinite d (an infinite normaliser
+    # minus an infinite quadratic term), and a +inf joint.
+    FALLBACK_KINDS = ("all_zero_weights", "far_centroids", "nan_centroid",
+                      "infinite_base", "infinite_weight")
 
     def one_row_case(self, rng, kind):
         K, D = int(rng.integers(1, 10)), int(rng.integers(1, 17))
@@ -177,23 +186,58 @@ class TestGradSmoothed:
         else:
             kernel = NeighborhoodKernel(np.eye(K), 0.0)
         m = random_model(rng, K, D, tied=kind == "tied")
-        if kind == "zero_weight":
-            # A -inf joint, and a weight gradient of 0 from _safe_ratio.
-            w = m.weights.copy()
-            w[rng.integers(K)] = 0.0
+        k = rng.integers(K)
+        if kind in ("zero_weight", "all_zero_weights", "infinite_weight"):
+            # A -inf joint, and a weight gradient of 0 from _safe_ratio; or
+            # every joint -inf; or a +inf joint.
+            w = np.zeros(K) if kind == "all_zero_weights" else m.weights.copy()
+            w[k] = math.inf if kind == "infinite_weight" else 0.0
             m.weights = w
+        elif kind == "far_centroids":
+            # 1e151 to 1e165 away: finite joints at or below the floor, or
+            # squares that overflow to -inf joints.
+            scale = 10.0 ** rng.uniform(151.5, 165.0)
+            m.centroids[...] = rng.choice([-scale, scale], (K, D))
+        elif kind == "nan_centroid":
+            m.centroids[k] = math.nan
+        elif kind == "infinite_base":
+            d = m.precision_roots.copy()
+            d[k, rng.integers(D)] = math.inf
+            m.precision_roots = d
         return m, kernel, random_data(rng, 1, D)
 
     @pytest.mark.parametrize("kind", ["identity", "annealed", "zero_weight", "tied",
-                                      "signed_zero_kernel"])
-    def test_one_row_branch_is_bitwise_the_n_axis_path(self, rng, kind):
-        negative_zeros = 0
+                                      "signed_zero_kernel", *FALLBACK_KINDS])
+    def test_one_row_branch_is_bitwise_the_n_axis_path(self, rng, kind, monkeypatch):
+        smooth_calls = []
+        smooth = mc._smooth
+        monkeypatch.setattr(mc, "_smooth", lambda *a: smooth_calls.append(1) or smooth(*a))
+        negative_zeros, moved, seen = 0, 0, set()
         for _ in range(self.CASES):
             m, kernel, batch = self.one_row_case(rng, kind)
-            got = grad_smoothed(batch, m, kernel)
-            for a, b in zip(got, n_axis_gradients(batch, m, kernel)):
+            quiet = {"all": "ignore"} if kind in self.FALLBACK_KINDS else {}
+            del smooth_calls[:]
+            with np.errstate(**quiet):
+                got = grad_smoothed(batch, m, kernel)
+                calls = len(smooth_calls)
+                want = n_axis_gradients(batch, m, kernel)
+                lj = mc.log_joint_matrix(batch, m)[0]
+                winner = trainer_mod._winner_rows(batch, m, kernel)[0][0]
+            for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+            # The identity kernel smooths only to take a fallback.
+            top = lj[lj.argmax()]
+            shortcut = kernel.is_identity and bool(mc.LOG_JOINT_FLOOR < top < math.inf)
+            assert calls == (not shortcut)
+            if kind in self.FALLBACK_KINDS:
+                assert not shortcut
+                seen.add("nan" if math.isnan(top) else top if math.isinf(top) else "finite")
+                # Where the row's own argmax is another winner, the
+                # shortcut would have changed the step.
+                moved += int(winner != lj.argmax())
+                continue
+            assert shortcut is kernel.is_identity or kind == "zero_weight"
             # Zero couplings times negative differences round to -0.0 before
             # the sum; the branch must give the sum's +0.0.
             _, coupling = trainer_mod._winner_rows(batch, m, kernel)
@@ -203,6 +247,13 @@ class TestGradSmoothed:
             assert not np.signbit(got[0][products == 0]).any()
         if kind in ("identity", "annealed", "zero_weight"):
             assert negative_zeros > 0
+        if kind in self.FALLBACK_KINDS:
+            assert seen == {"all_zero_weights": {-math.inf},
+                            "far_centroids": {"finite", -math.inf},
+                            "infinite_weight": {math.inf}}.get(kind, {"nan"})
+            # Every joint -inf smooths to a tie that the row's argmax also
+            # gives to index 0; each other fallback guards a winner.
+            assert (moved > 0) is (kind != "all_zero_weights")
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_wrong_kernel_size_raises(self, rng, n):
