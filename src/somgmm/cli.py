@@ -15,6 +15,9 @@ from .model import DataSet
 from .topology import AnnealingSchedule, build_kernel
 from .trainer import TrainConfig, run as train_run
 
+# Rows that ``score`` formats and writes at a time.
+SCORE_BLOCK = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage problems; we reserve 2 for data
@@ -148,11 +151,16 @@ def _cmd_score(args):
         data, ckpt.model, window=args.window, reference=reference,
         percentile=args.percentile,
     )
-    for i in range(report.scores.size):
-        line = f"{float(report.scores[i])!r},{float(report.window_means[i])!r}"
-        if report.verdicts is not None:
-            line += "," + ("outlier" if report.verdicts[i] else "inlier")
-        print(line)
+    verdicts = report.verdicts
+    for start in range(0, report.scores.size, SCORE_BLOCK):
+        rows = slice(start, start + SCORE_BLOCK)
+        pairs = zip(report.scores[rows].tolist(), report.window_means[rows].tolist())
+        if verdicts is None:
+            lines = [f"{s!r},{m!r}\n" for s, m in pairs]
+        else:
+            lines = [f"{s!r},{m!r},{'outlier' if v else 'inlier'}\n"
+                     for (s, m), v in zip(pairs, verdicts[rows].tolist())]
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -18,7 +18,11 @@ class GridTopology:
     """Arrangement of K components on a (1,K) line or a (sqrt(K),sqrt(K)) grid.
 
     Periodic grids measure distance as the minimum over wrapped images per
-    axis; periodic is the default.
+    axis; periodic is the default.  The grid computes once, and shares
+    read-only with every kernel built on it, its squared distances
+    ``distance_sq``, their distinct values ``distance_levels`` and the
+    identity ``identity`` that a kernel becomes once every coupling
+    between distinct cells underflows.
     """
 
     kind: str
@@ -57,6 +61,26 @@ class GridTopology:
         dist2.setflags(write=False)
         return dist2
 
+    @cached_property
+    def distance_levels(self):
+        """(levels, index): the distinct squared distances, ascending, so
+        ``levels[0]`` is 0, and the K x K index of each entry of
+        ``distance_sq`` into them; both read-only."""
+        levels, index = np.unique(self.distance_sq, return_inverse=True)
+        # numpy 2.0 gives the inverse the input's shape, 1.x and 2.1+ flat.
+        index = index.reshape(self.distance_sq.shape)
+        levels.setflags(write=False)
+        index.setflags(write=False)
+        return levels, index
+
+    @cached_property
+    def identity(self):
+        """The K x K identity, read-only: the g of every identity kernel
+        that ``build_kernel`` returns on this grid."""
+        eye = np.eye(self.n_components)
+        eye.setflags(write=False)
+        return eye
+
 
 def grid_distance_sq(topology: GridTopology, j: int, k: int) -> float:
     """Squared Euclidean grid distance between cells j and k."""
@@ -81,28 +105,52 @@ class NeighborhoodKernel:
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.g
-        object.__setattr__(self, "is_identity", bool(
-            np.count_nonzero(g) == g.shape[0] and (g.diagonal() == 1.0).all()))
+        object.__setattr__(self, "is_identity", _is_identity(self.g))
+
+    @classmethod
+    def _known(cls, g: np.ndarray, sigma: float, is_identity: bool):
+        """A kernel whose ``is_identity`` the caller already knows
+        (``build_kernel``), without the scan of g."""
+        kernel = cls.__new__(cls)
+        kernel.__dict__.update(g=g, sigma=sigma, is_identity=is_identity)
+        return kernel
 
     @property
     def n_components(self):
         return self.g.shape[0]
 
 
+def _is_identity(g: np.ndarray) -> bool:
+    """Whether the square matrix g is the identity (-0.0 is a zero)."""
+    return bool(np.count_nonzero(g) == g.shape[0] and (g.diagonal() == 1.0).all())
+
+
 def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     """Gaussian grid kernel g_kj = exp(-dist2(k,j) / (2 sigma^2)), rows
-    normalized to unit sum; identity below the fast-path threshold."""
+    normalized to unit sum; identity below the fast-path threshold.
+
+    ``exp`` runs once per distinct grid distance (``distance_levels``) and
+    the values are gathered into g: bitwise the K x K expression, because
+    equal distances give equal quotients, and ``exp(-dist2 / (2 sigma^2))``
+    because IEEE products and quotients are sign-symmetric (a zero distance
+    still gives -0.0).  Once every positive distance's value is 0.0, each
+    row is its diagonal 1.0 over a sum of 1.0, so g is exactly the identity:
+    the kernel then shares the grid's read-only ``identity``.  Otherwise
+    some coupling between distinct cells stays above 0.0 after its row's
+    normalisation: a row sum below 2 less than halves a value v > 0, and a
+    row sum of 2 or more holds an off-diagonal value of at least 1/(K-1).
+    Either way ``is_identity`` is known without scanning g."""
     if not sigma > 0:  # also rejects NaN
         raise UsageError("sigma must be positive")
-    K = topology.n_components
     if sigma < IDENTITY_SIGMA:
-        return NeighborhoodKernel(np.eye(K), sigma)
-    # Bitwise exp(-dist2 / (2 sigma^2)), one pass fewer: IEEE products and
-    # quotients are sign-symmetric, and a zero distance still gives -0.0.
-    g = np.exp(topology.distance_sq / (-2.0 * sigma * sigma))
+        return NeighborhoodKernel._known(topology.identity, sigma, True)
+    levels, index = topology.distance_levels
+    values = np.exp(levels / (-2.0 * sigma * sigma))
+    if not any(values.tolist()[1:]):
+        return NeighborhoodKernel._known(topology.identity, sigma, True)
+    g = values[index]
     g /= np.add.reduce(g, axis=1, keepdims=True)
-    return NeighborhoodKernel(g, sigma)
+    return NeighborhoodKernel._known(g, sigma, False)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .topology import (
     AnnealingSchedule,
     GridTopology,
     NeighborhoodKernel,
+    _is_identity,
     build_kernel,
     epsilon_at,
     sigma_at,
@@ -286,7 +287,7 @@ def enforce_constraints(model: MixtureModel, precision_roots: np.ndarray,
 def _regime_kernel(state: TrainState, config: TrainConfig, sigma: float):
     if config.loss_regime == "max_component":
         if state.kernel is None:
-            state.kernel = NeighborhoodKernel(np.eye(config.n_components), 0.0)
+            state.kernel = NeighborhoodKernel._known(state.topology.identity, 0.0, True)
         return state.kernel
     if state.kernel is None or sigma != state.kernel.sigma:
         state.kernel = build_kernel(state.topology, sigma)
@@ -381,39 +382,56 @@ def _tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, diff: np.ndarray)
     with unit row sums, as in the paper, the best score has the least V,
     the map's energy.
 
-    Fast path: ``u = g @ s`` with ``s = einsum(diff, diff)``, one read of
-    diff.  The first index w of the least entry u1 wins when the runner-up
-    u2 clears u2 - u1 > F n (1.01 eps u2 + 2^-1074), n = D + K + 2,
+    Fast path: ``u = g @ s`` with s the row norms of diff as batched BLAS
+    dot products, one read of diff.  The first index w of the least entry
+    u1 wins when the runner-up u2 clears
+    u2 - u1 > F n (1.01 eps u2 + 2^-1074), n = D + K + 2,
     F = ``TIED_GUARD_FACTOR``.  The bound, with unit roundoff e = eps / 2
     and g_n = n e / (1 - n e) <= 1.01 n e, for couplings >= 0 with row
     sums near 1 (every ``build_kernel`` kernel): the difference, its
-    square and the einsum's sum of D products put each s_j within g_(D+2)
-    of ||x - mu_j||^2 (a subnormal difference is exact), the smoothing
-    products and their sum add g_K, and each of the D + K products behind
-    a u that falls below the normal range adds at most 2^-1075.  So
-    |u_k - V_k| <= g_n V_k + (D+K+1) 2^-1075, and V_w < V_k for every
-    k != w once u2 - u1 > 2 g_n u2 + (D+K+1) 2^-1074: the guard with F = 1.
-    F = 2 also covers the rounding of the test itself.  The gap is strict,
-    so exact ties fall back.  ``sum(s)`` is tested first: a finite sum
-    makes diff, s and u finite (an overflowing u fails the gap), so a NaN
-    or inf never reaches the sort.  The few values are compared as Python
-    floats, which costs less than numpy calls on arrays this small.
+    square and a sum of D products in any order, fused or not, put each
+    s_j within g_(D+2) of ||x - mu_j||^2 (a subnormal difference is
+    exact), the smoothing products and their sum add g_K, and each of the
+    D + K products behind a u that falls below the normal range adds at
+    most 2^-1075.  So |u_k - V_k| <= g_n V_k + (D+K+1) 2^-1075 =: g_n V_k + c.
+    If V_k <= V_w, then u_k - u1 <= 2 g_n V_k + 2c, and V_k <= V_w <=
+    (u1 + c) / (1 - g_n) <= (u_k + c) / (1 - g_n); so k != w loses once
+    u_k - u1 > 2 g_n u_k + (D+K+1) 2^-1074, the test with F = 1 at u_k.
+    F = 2 also covers the rounding of the test itself and the terms in c.
+    u_k - u1 - 2 g_n u_k grows with u_k, so the runner-up's test settles
+    every k.  The gap is strict, so exact ties fall back.  ``sum(s)`` is
+    tested first: a finite sum makes diff, s and u finite (an overflowing
+    u fails the gap), so a NaN or inf never reaches the sort.  The few
+    values are compared as Python floats, which costs less than numpy
+    calls on arrays this small.  Unlike ``einsum``, the dot products
+    report overflow: a finite diff whose squared norm overflows (entries
+    beyond about 1.3e154) warns with numpy's overflow ``RuntimeWarning``,
+    as the step's own subtraction and pull do for larger ones, and its
+    inf sum falls back.
 
-    Otherwise the winner is ``_exact_tied_winner``'s.  K = 1 needs neither.
+    Otherwise the winner is ``_exact_tied_winner``'s.  When the sum was
+    finite and g is the identity, so that V_k needs row k alone, only the
+    candidates are measured: the rows k that fail the test at u_k,
+    u_k - u1 <= F n (1.01 eps u_k + 2^-1074); w beats every other row.
+    K = 1 needs neither.
     """
     K, D = diff.shape
     if K == 1:
         return 0, True
-    s = np.einsum("ki,ki->k", diff, diff)
+    s = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
+    rows = None
     if math.isfinite(sum(s.tolist())):
         u = (g @ s).tolist()
         u1, u2 = sorted(u)[:2]
-        if u2 - u1 > TIED_GUARD_FACTOR * (D + K + 2) * (1.01 * _EPS * u2 + _TINY):
+        bound = TIED_GUARD_FACTOR * (D + K + 2)
+        if u2 - u1 > bound * (1.01 * _EPS * u2 + _TINY):
             return u.index(u1), True
-    return _exact_tied_winner(g, x, mu), False
+        if _is_identity(g):
+            rows = [k for k, uk in enumerate(u) if uk - u1 <= bound * (1.01 * _EPS * uk + _TINY)]
+    return _exact_tied_winner(g, x, mu, rows), False
 
 
-def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray) -> int:
+def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, rows=None) -> int:
     """The least V_k = sum_j g_kj ||x - mu_j||^2, lowest index on ties,
     computed exactly in Python integers: every float is n / 2^m
     (``float.as_integer_ratio``), so x and the finite rows of mu, and
@@ -422,18 +440,22 @@ def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray) -> int:
     and mu whose difference would overflow a float stay exact.  A
     non-finite entry in x or in row j of mu puts mu_j infinitely far: every
     k with g_kj > 0 gets V_k = inf, and when every V is infinite the winner
-    is 0.
+    is 0.  Given ``rows`` (the identity kernel's candidates, see
+    ``_tied_winner``), only those rows are measured and the others count
+    as infinitely far.
     """
     K, D = mu.shape
     sq = [math.inf] * K
-    rows = {}  # distinct finite row -> the indices j that hold it
+    distinct = {}  # distinct finite row -> the indices j that hold it
     if np.isfinite(x).all():
-        for j in np.flatnonzero(np.isfinite(mu).all(axis=1)).tolist():
-            rows.setdefault(tuple(mu[j].tolist()), []).append(j)
-    if rows:
-        ints = _on_common_scale(x.tolist() + [v for row in rows for v in row])
+        finite = np.isfinite(mu).all(axis=1)
+        for j in (np.flatnonzero(finite).tolist() if rows is None
+                  else [j for j in rows if finite[j]]):
+            distinct.setdefault(tuple(mu[j].tolist()), []).append(j)
+    if distinct:
+        ints = _on_common_scale(x.tolist() + [v for row in distinct for v in row])
         xs = ints[:D]
-        for n, near in enumerate(rows.values(), 1):
+        for n, near in enumerate(distinct.values(), 1):
             q = sum((a - b) ** 2 for a, b in zip(xs, ints[n * D:(n + 1) * D]))
             for j in near:
                 sq[j] = q

@@ -303,6 +303,37 @@ class TestScoreAndCluster:
         assert out == want
         assert out.endswith("outlier\n") and "inlier\n" in out
 
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_score_blocks_give_the_per_line_bytes(self, trained, capsys, monkeypatch,
+                                                  with_reference):
+        # Lines are formatted from tolist() and written a block at a time;
+        # the bytes are those of one print per row of the float reprs.
+        ref = trained / "ref.csv"
+        save_csv(four_cluster_data(9), ref)
+        queries = np.concatenate([four_cluster_data(4).samples[::37],
+                                  np.full((2, 2), 60.0), np.full((1, 2), -1e6)])
+        data = trained / "blocks.csv"
+        save_csv(DataSet(queries), data)
+        ckpt = trained / "out" / "model.ckpt"
+        argv = ["score", "--model", str(ckpt), "--data", str(data), "--window", "3"]
+        reference = None
+        if with_reference:
+            argv += ["--reference", str(ref)]
+            reference = sio.load_csv(ref)
+        report = inference.score_report(sio.load_csv(data), load_checkpoint(ckpt).model,
+                                        window=3, reference=reference)
+        want = io.StringIO()
+        with contextlib.redirect_stdout(want):
+            for i in range(report.scores.size):
+                line = f"{float(report.scores[i])!r},{float(report.window_means[i])!r}"
+                if report.verdicts is not None:
+                    line += "," + ("outlier" if report.verdicts[i] else "inlier")
+                print(line)
+        for block in (4096, 7, 1):
+            monkeypatch.setattr(cli, "SCORE_BLOCK", block)
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want.getvalue()
+
     def test_cluster_calls_the_per_row_kernel_once_per_row(self, trained, capsys,
                                                            monkeypatch):
         # The benchmark's traced runs count one assign_cluster call and one

@@ -127,12 +127,19 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("kind, K, periodic", [
         ("1d", 5, False), ("1d", 6, True), ("2d", 9, True), ("2d", 25, True), ("2d", 16, False),
-    ])
+    ] + [("1d", K, periodic) for K in (1, 2, 4, 9, 16, 25, 36) for periodic in (True, False)]
+      + [("2d", K, periodic) for K, periodic in itertools.product((1, 4, 36), (True, False))]
+      + [("2d", 9, False), ("2d", 16, True), ("2d", 25, False)])
     def test_sigma_sweep_bitwise_the_negated_quotient(self, kind, K, periodic):
-        # Across IDENTITY_SIGMA and the radius below which every off-diagonal
-        # coupling underflows (exp(-1 / (2 sigma^2)) == 0 from about 0.0259).
+        # exp once per distinct distance, gathered and normalised: bitwise
+        # exp then row normalisation over the K x K distances, from below
+        # IDENTITY_SIGMA through the underflow band (0.02-0.08 holds the
+        # radii at which the nearest, then the farther couplings reach 0.0;
+        # every off-diagonal coupling is 0.0 below about 0.0259) to flat
+        # rows.  K = 1 has no positive distance: always the identity.
         top = GridTopology(kind, K, periodic)
-        sigmas = np.concatenate([np.geomspace(1e-7, 10.0, 301),
+        sigmas = np.concatenate([np.geomspace(1e-7, 1e3, 241),
+                                 np.geomspace(0.02, 0.08, 241),
                                  np.geomspace(0.024, 0.028, 101),
                                  [np.nextafter(IDENTITY_SIGMA, 0.0), IDENTITY_SIGMA,
                                   np.nextafter(IDENTITY_SIGMA, 1.0)]])
@@ -146,8 +153,44 @@ class TestBuildKernel:
             kernel = build_kernel(top, sigma)
             assert kernel.g.tobytes() == want.tobytes()
             assert kernel.is_identity is np.array_equal(want, np.eye(K))
+            assert kernel.is_identity is NeighborhoodKernel(want, sigma).is_identity
+            assert kernel.sigma == sigma
+            if kernel.is_identity:
+                assert kernel.g is top.identity
             kinds.add((sigma < IDENTITY_SIGMA, kernel.is_identity))
-        assert kinds == {(True, True), (False, True), (False, False)}
+        assert kinds == {(True, True), (False, True)} | ({(False, False)} if K > 1 else set())
+
+    def test_identity_is_read_only_and_shared_per_topology(self):
+        top, other = GridTopology("2d", 9), GridTopology("2d", 9)
+        tiny, underflowed = build_kernel(top, 1e-8), build_kernel(top, 0.02)
+        assert tiny.g is underflowed.g is top.identity
+        assert tiny.sigma == 1e-8 and underflowed.sigma == 0.02
+        assert other.identity is not top.identity
+        assert np.array_equal(other.identity, top.identity)
+        assert top.identity.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            top.identity[0, 1] = 0.5
+        dense = build_kernel(top, 0.5)
+        assert dense.g is not build_kernel(top, 0.5).g and dense.g.flags.writeable
+
+    @pytest.mark.parametrize("shaped", [False, True])
+    def test_distance_levels_whatever_the_inverse_shape(self, monkeypatch, shaped):
+        # np.unique's inverse is flat in numpy 1.x and 2.1+, and has the
+        # input's shape in 2.0; either way the index is K x K.
+        unique = np.unique
+
+        def versioned(*args, **kwargs):
+            levels, inverse = unique(*args, **kwargs)
+            return levels, inverse.reshape(args[0].shape if shaped else -1)
+
+        monkeypatch.setattr(np, "unique", versioned)
+        for top in (GridTopology("1d", 6), GridTopology("2d", 16, periodic=False)):
+            levels, index = top.distance_levels
+            assert index.shape == top.distance_sq.shape
+            assert np.array_equal(levels[index], top.distance_sq)
+            assert levels.tolist() == sorted(set(top.distance_sq.ravel().tolist()))
+            assert not levels.flags.writeable and not index.flags.writeable
+            assert top.distance_levels is top.distance_levels
 
     def test_non_positive_sigma(self):
         for sigma in (0.0, -1.0, math.nan):

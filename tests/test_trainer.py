@@ -1004,17 +1004,20 @@ class TestTiedWinnerGuard:
     def test_error_stays_within_half_the_guard(self, rng):
         # The worst error of the gap u_k - u_w against the exact V_k - V_w
         # over the bound of ``_tied_winner``'s derivation (TIED_GUARD_FACTOR
-        # = 1), on the random cases, near ties included.  The bound grows
-        # with D faster than the error, so D = 784, whose Fractions cost
-        # 0.2 s a case, is left to the random cases above.  Measured: 0.16
-        # on these, at most 0.32 over 30000 more such cases, and 0.01 over
-        # 100 cases at D = 784.
+        # = 1), on the random cases, near ties included, with s formed as
+        # ``_tied_winner`` forms it (batched BLAS dot products).  The bound
+        # grows with D faster than the error.  Measured: 0.16 on the 600
+        # cases at D <= 64 and 0.35 over 30000 more such cases; 0.002 on the
+        # 40 cases at D = 784 and 0.003 over 200 more.
         worst = 0.0
-        for _ in range(600):
-            K, D = int(rng.choice([4, 9, 25])), int(rng.choice([1, 2, 8, 64]))
+        for i in range(640):
+            K = int(rng.choice([4, 9, 25]))
+            D = int(rng.choice([1, 2, 8, 64])) if i < 600 else 784
             model, kernel, _, x = guard_case(rng, K, D)
             g, mu = kernel.g, model.centroids
-            s = np.einsum("ki,ki->k", x - mu, x - mu)
+            diff = x - mu
+            with np.errstate(over="ignore"):
+                s = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
             if not np.isfinite(s.sum()):
                 continue
             u = (g @ s).tolist()
@@ -1127,6 +1130,61 @@ class TestTiedWinnerGuard:
             assert w == 0 if sigma > 0.1 else w != 4
         # One fallback for the winner above and one for the step, or none.
         assert len(winner_calls) == (2 if far != -3e150 or sigma > 0.1 else 0)
+
+    @pytest.mark.parametrize("sigma", [1e-7, 0.8])
+    @pytest.mark.parametrize("far", [2e154, -1e300])
+    def test_overflowing_squared_norm_warns(self, rng, winner_calls, sigma, far):
+        # A finite x - mu whose squared norm overflows: the row norms report
+        # the overflow, and the inf sum takes the exact winner.
+        mu = rng.normal(size=(9, 3))
+        mu[4, 1] = far
+        x = rng.normal(size=3)
+        g = build_kernel(grid_topology(9), sigma).g
+        diff = x - mu
+        assert np.isfinite(diff).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            w, settled = trainer_mod._tied_winner(g, x, mu, diff)
+        assert w == fraction_winner(g, x, mu) and not settled
+        assert len(winner_calls) == 1
+
+    @pytest.mark.parametrize("K", [9, 25])
+    def test_identity_fallback_measures_its_candidates_only(self, rng, monkeypatch, K):
+        # Under the identity kernel a fallback with a finite sum measures
+        # the rows within the guard's bound of the least u: here the two
+        # rows tied with the winner and the one a few ulps behind.  Equal
+        # candidate rows are measured once.  A dense kernel needs every
+        # row: on a sphere around x each V_k is 0.25 r_k, whose row sums r_k
+        # differ by rounding only.
+        D = 64
+        scaled = []
+
+        def recording(values, _fn=trainer_mod._on_common_scale):
+            scaled.append(len(values))
+            return _fn(values)
+
+        def winner(sigma, mu):
+            g = build_kernel(grid_topology(K), sigma).g
+            w, settled = trainer_mod._tied_winner(g, x, mu, x - mu)
+            assert w == fraction_winner(g, x, mu) and not settled
+            return w
+
+        monkeypatch.setattr(trainer_mod, "_on_common_scale", recording)
+        x = rng.normal(size=D)
+        x[:K] = 0.0
+        e = 0.5 * np.eye(D)[:K]
+        mu = x + rng.normal(size=(K, D))  # squared distances near D
+        mu[K - 2], mu[3] = x + e[0], x - e[0]  # an exact tie at 0.25
+        mu[5] = x + (1.0 + 2e-15) * e[0]  # a few ulps farther
+        for sigma in (1e-7, 0.02):
+            assert winner(sigma, mu) == 3
+            assert scaled[-2:] == [(1 + 3) * D, K * K]
+        mu[5] = mu[3]
+        assert winner(0.02, mu) == 3
+        assert scaled[-2:] == [(1 + 2) * D, K * K]
+        sphere = x + e * np.where(np.arange(K) % 2, -1.0, 1.0)[:, None]
+        for sigma in (0.02, 0.8):
+            winner(sigma, sphere)
+            assert scaled[-2:] == [(1 + K) * D, K * K]
 
 
 def tied_k25_d64_run():
