@@ -48,8 +48,9 @@ so the bits and the floating-point warnings are the same.  At K=25, D=784
 between calls: a held one measured no faster than a new array, and a
 long-lived extra K x D array moves ``peak_rss_mb`` (above).
 
-Parallel blocks: ``log_joints`` splits its ``CHUNK_ROWS`` blocks into one
-part per usable CPU (``_usable_cpus``), at most ``MAX_PARTS``; part p
+Parallel blocks: ``log_joints`` splits its ``CHUNK_ROWS`` blocks into
+``_parts`` parts, one per usable CPU (``_usable_cpus``), at most
+``MAX_PARTS``; part p
 takes blocks p, p + parts, and so on.  The calling thread runs part 0 and
 a ``ThreadPoolExecutor`` worker each other part, under the caller's numpy
 error state, and the workers are joined before ``log_joints`` returns or
@@ -137,6 +138,15 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _parts(units):
+    """How many parts a parallel path splits ``units`` pieces of work
+    into: one per usable CPU, at most ``MAX_PARTS`` and at most ``units``;
+    1, without counting CPUs, for one unit or none."""
+    if units <= 1:
+        return 1
+    return min(_usable_cpus(), MAX_PARTS, units)
+
+
 def log_joints(weights, centroids, precision_roots, samples):
     """Return the N x K matrix of log(pi_k) + log p_k(x_n); -inf in the
     columns of zero-weight components.  The blocks of up to CHUNK_ROWS
@@ -160,7 +170,7 @@ def _blocks(base, centroids, psq, samples):
     pmu_t = (psq * mus).T
     out = np.empty((n, centroids.shape[0]))
     starts = range(0, n, CHUNK_ROWS)
-    parts = 1 if len(starts) == 1 else min(_usable_cpus(), MAX_PARTS, len(starts))
+    parts = _parts(len(starts))
     rows = min(n, CHUNK_ROWS)
     scratch = [(np.empty((rows, samples.shape[1])), np.empty((rows, out.shape[1])))
                for _ in range(parts)]

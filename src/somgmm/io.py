@@ -5,8 +5,8 @@ Parallel CSV writer: ``repr`` of each float is what writing a CSV costs, and
 no single-thread writer of the same bytes is faster (ROADMAP, "Closed without
 a change").  ``write_csv`` therefore splits the rows into one contiguous part
 per usable CPU, at most ``MAX_PARTS``, each of at least ``MIN_PART_VALUES``
-values; the CPU count (``_usable_cpus``) and the cap are ``backend``'s,
-which ``log_joints`` uses for its blocks too.  This process formats part 0
+values; the count is ``backend._parts``, which ``log_joints`` uses for its
+blocks too.  This process formats part 0
 straight into the output with ``csv_lines`` while a helper interpreter
 formats each other part; the helpers' text is then copied in part order,
 so the bytes are those of ``csv_lines`` over all rows.  A helper gets its
@@ -17,8 +17,9 @@ exits non-zero is formatted here instead, and every helper is killed and
 reaped before ``write_csv`` returns or raises.
 
 The helper is a fresh ``python -I -S`` running standard-library code only.
-It starts in under 0.1 s; one that imported ``somgmm`` would pull in scipy
-and take about 0.7 s.  ``os.fork`` would be about 8% faster, but numpy's
+It starts in about 0.02 s; one that imported ``somgmm`` would pull in numpy
+and take 0.22-0.26 s (medians of 9 starts, Python 3.11.7, numpy 2.4.6,
+2-vCPU Xeon VM).  ``os.fork`` would be about 8% faster, but numpy's
 BLAS pool gives this process a second thread, and forking a process that
 has threads raises a ``DeprecationWarning`` from Python 3.12 on.
 """
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import MAX_PARTS, _usable_cpus
+from .backend import _parts
 from .exceptions import DataError, UsageError
 from .model import DataSet, MixtureModel, _trusted_dataset
 from .topology import AnnealingSchedule, GridTopology
@@ -166,14 +167,14 @@ with open(1, "w", encoding="ascii", newline="", closefd=False) as out:
 
 
 def _part_bounds(samples):
-    """Row bounds of write_csv's parts: one per usable CPU, at most
-    MAX_PARTS, none smaller than MIN_PART_VALUES values; a single part
-    unless ``samples`` are float64 rows, the only values a helper formats."""
+    """Row bounds of write_csv's parts: ``backend._parts`` of them, none
+    smaller than MIN_PART_VALUES values; a single part unless ``samples``
+    are float64 rows, the only values a helper formats."""
     n = len(samples)
     if samples.ndim != 2 or samples.dtype != np.float64 or samples.shape[1] == 0:
         return [0, n]
     min_rows = -(-MIN_PART_VALUES // samples.shape[1])
-    parts = max(1, min(_usable_cpus(), MAX_PARTS, n // min_rows))
+    parts = _parts(n // min_rows)
     return [n * i // parts for i in range(parts + 1)]
 
 

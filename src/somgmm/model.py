@@ -2,14 +2,13 @@
 responsibilities.
 
 Sign convention: all three likelihood-style quantities are to be *maximized*;
-the trainer negates internally when it reports "descent".
+the trainer ascends them and reports each loss as it is.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import backend
 from .backend import HALF_LOG_2PI
@@ -234,7 +233,7 @@ def log_joint_matrix(data: DataSet, model: MixtureModel) -> np.ndarray:
 def full_log_likelihood(data: DataSet, model: MixtureModel) -> float:
     """Mean over samples of log sum_k pi_k p_k(x_n), max-shifted."""
     lj = log_joint_matrix(data, model)
-    return float(np.mean(logsumexp(lj, axis=1)))
+    return float(np.mean(_logsumexp_rows(lj)))
 
 
 def max_component_log_likelihood(data: DataSet, model: MixtureModel) -> float:
@@ -273,5 +272,24 @@ def smoothed_log_likelihood(data: DataSet, model: MixtureModel, kernel) -> float
 def responsibilities(data: DataSet, model: MixtureModel) -> Responsibilities:
     """gamma_nk = pi_k p_k(x_n) / sum_j pi_j p_j(x_n), computed in log space."""
     lj = log_joint_matrix(data, model)
-    lj = lj - logsumexp(lj, axis=1, keepdims=True)
+    lj = lj - _logsumexp_rows(lj)
     return Responsibilities(np.exp(lj))
+
+
+def _logsumexp_rows(lj: np.ndarray) -> np.ndarray:
+    """N x 1 column of log sum_k exp(lj_nk).
+
+    The m entries equal to the row maximum ``top`` are taken out of the sum
+    s of the others' ``exp(lj - top)``, and the value is
+    ``log1p(s / m) + log(m) + top``.  A row whose value is not finite (every
+    entry -inf, or a +inf or NaN entry) gets its ``top``.  This is the
+    arithmetic of the reference library's ``logsumexp`` from its version
+    1.15 on, and ``tests/test_model.py`` holds the two to the same bytes;
+    the textbook ``top + log(sum exp(lj - top))`` rounds differently."""
+    top = lj.max(axis=1, keepdims=True)
+    at_top = lj == top
+    m = np.count_nonzero(at_top, axis=1, keepdims=True).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.add.reduce(np.exp(np.where(at_top, -np.inf, lj) - top), axis=1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+    return np.where(np.isfinite(out), out, top)

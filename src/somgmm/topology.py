@@ -127,7 +127,8 @@ def _is_identity(g: np.ndarray) -> bool:
 
 def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     """Gaussian grid kernel g_kj = exp(-dist2(k,j) / (2 sigma^2)), rows
-    normalized to unit sum; identity below the fast-path threshold.
+    normalized to unit sum; identity below the fast-path threshold, sigma
+    = 0 included.
 
     ``exp`` runs once per distinct grid distance (``distance_levels``) and
     the values are gathered into g: bitwise the K x K expression, because
@@ -140,8 +141,8 @@ def build_kernel(topology: GridTopology, sigma: float) -> NeighborhoodKernel:
     normalisation: a row sum below 2 less than halves a value v > 0, and a
     row sum of 2 or more holds an off-diagonal value of at least 1/(K-1).
     Either way ``is_identity`` is known without scanning g."""
-    if not sigma > 0:  # also rejects NaN
-        raise UsageError("sigma must be positive")
+    if not sigma >= 0:  # also rejects NaN
+        raise UsageError("sigma must be non-negative")
     if sigma < IDENTITY_SIGMA:
         return NeighborhoodKernel._known(topology.identity, sigma, True)
     levels, index = topology.distance_levels

@@ -83,8 +83,9 @@ class TrainConfig:
             raise UsageError("initial precision outside the allowed bounds")
         if self.init_mode not in ("random", "data_mean"):
             raise UsageError(f"unknown init mode {self.init_mode!r}")
-        if self.loss_regime == "smoothed" and self.sigma_schedule is None:
-            raise UsageError("smoothed regime requires a sigma schedule")
+        # Only the smoothed regime has a neighbourhood radius to anneal.
+        if (self.loss_regime == "smoothed") != (self.sigma_schedule is not None):
+            raise UsageError("the smoothed regime, and only it, takes a sigma schedule")
         if self.loss_regime != "exact":
             mc._require_size((self.n_components,) * 2, "neighbourhood kernel")
         # Constructing the topology validates K against the grid kind.
@@ -284,11 +285,10 @@ def enforce_constraints(model: MixtureModel, precision_roots: np.ndarray,
     return model
 
 
-def _regime_kernel(state: TrainState, config: TrainConfig, sigma: float):
-    if config.loss_regime == "max_component":
-        if state.kernel is None:
-            state.kernel = NeighborhoodKernel._known(state.topology.identity, 0.0, True)
-        return state.kernel
+def _regime_kernel(state: TrainState, sigma: float):
+    """The run's kernel at radius sigma, rebuilt when sigma changes; the
+    ``max_component`` regime's sigma is always 0, whose kernel is the
+    identity."""
     if state.kernel is None or sigma != state.kernel.sigma:
         state.kernel = build_kernel(state.topology, sigma)
     return state.kernel
@@ -335,7 +335,7 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
         gmu, gd, gpi = grad_exact(batch, model)
         enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
     else:
-        kernel = _regime_kernel(state, config, sigma)
+        kernel = _regime_kernel(state, sigma)
         if terms is not None and batch.count == 1:
             g = mc._kernel_matrix(model, kernel)
             mc._check_dims(batch, model)
@@ -597,7 +597,7 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
     state = make_state(config, data, resume)
     if state.t == 0:
         if config.loss_regime != "exact":
-            _regime_kernel(state, config, _sigma(config, 0))
+            _regime_kernel(state, _sigma(config, 0))
         _log_row(state, config)
     one_row = config.batch_size == 1
     for idx in _batch_indices(config, state.rng, data.count, state.t):

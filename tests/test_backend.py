@@ -422,6 +422,23 @@ def no_cpu_count():
     raise AssertionError("the CPUs were counted")
 
 
+class TestParts:
+    """``_parts``: the one rule for how many parts both parallel paths use."""
+
+    @pytest.mark.parametrize("units", [0, 1])
+    def test_one_unit_counts_no_cpu(self, monkeypatch, units):
+        monkeypatch.setattr(backend, "_usable_cpus", no_cpu_count)
+        assert backend._parts(units) == 1
+
+    @pytest.mark.parametrize("cpus, max_parts, units, want",
+                             [(1, 2, 5, 1), (4, 2, 5, 2), (4, 8, 3, 3), (3, 3, 9, 3),
+                              (64, 2, 2, 2), (2, 2, 2, 2)])
+    def test_fewest_of_cpus_cap_and_units(self, monkeypatch, cpus, max_parts, units, want):
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(backend, "MAX_PARTS", max_parts)
+        assert backend._parts(units) == want
+
+
 class TestParallelBlocks:
     """``log_joints`` runs its blocks on up to MAX_PARTS threads with the
     bits of one thread; CHUNK_ROWS = 8 gives many blocks."""

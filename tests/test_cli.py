@@ -169,9 +169,10 @@ image_cols = 2
         ("seed = 5", "seed = 5\nseed = 6"),
         ("grid = 2d", "grid = 2d\n# grid = 1d\nsigma0 = 1.0"),
         ("eps0 = 0.1", "eps0 = 0.05#x"),  # '#' after a value is part of it
-        # Sizes numpy cannot allocate on any machine: a K x K kernel, and in
-        # the exact regime, which has no kernel, the K x D centroids.
+        # A size numpy cannot allocate on any machine: a K x K kernel.
         ("components = 4", "components = 100000000000000000000"),
+        # The exact regime refuses the sigma keys before any size check;
+        # test_oversized_exact_run_exit_1 drops them.
         ("loss_regime = smoothed\ncomponents = 4",
          "loss_regime = exact\ncomponents = 100000000000000000000"),
     ])
@@ -193,6 +194,34 @@ image_cols = 2
             at = [n for n, k in enumerate(keys, 1) if k == key]
             if len(at) > 1:
                 assert f"line {at[1]}: key {key!r} repeats line {at[0]}" in err
+
+    @staticmethod
+    def without_sigma_keys(text):
+        return text.replace("sigma0 = 1.0\n", "").replace("sigma_inf = 0.01\n", "")
+
+    def test_oversized_exact_run_exit_1(self, tmp_path, capsys):
+        # The exact regime has no kernel: its K x D centroids are refused.
+        cfg = write_training_setup(tmp_path)
+        text = cfg.read_text().replace("loss_regime = smoothed", "loss_regime = exact")
+        text = text.replace("components = 4", "components = 100000000000000000000")
+        cfg.write_text(self.without_sigma_keys(text))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "centroid matrix of shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime", ["exact", "max_component"])
+    def test_sigma_keys_belong_to_the_smoothed_regime(self, tmp_path, capsys, regime):
+        # Refused outside the smoothed regime; without them the run trains
+        # and history.csv reports the sigma it trained with, 0.
+        cfg = write_training_setup(tmp_path, total_iters=200)
+        text = cfg.read_text().replace("loss_regime = smoothed", f"loss_regime = {regime}")
+        cfg.write_text(text)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "sigma schedule" in err
+        cfg.write_text(self.without_sigma_keys(text))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "history.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and {row.split(",")[2] for row in rows} == {"0.0"}
 
     def test_undecodable_config_exit_1(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path)
@@ -400,8 +429,8 @@ class TestSample:
     def test_split_stdout_matches_file_bytes(self, trained, tmp_path, capsys,
                                              monkeypatch):
         # Three parts through a captured sys.stdout and through --out.
-        monkeypatch.setattr(sio, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(sio, "MAX_PARTS", 3)
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(backend, "MAX_PARTS", 3)
         monkeypatch.setattr(sio, "MIN_PART_VALUES", 1)
         out = tmp_path / "drawn.csv"
         args = ["sample", "--model", str(trained / "out" / "model.ckpt"),

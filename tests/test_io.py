@@ -217,8 +217,8 @@ def written_csv(samples):
 
 
 def force_parts(monkeypatch, cpus, min_values=1):
-    monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sio, "MAX_PARTS", cpus)
+    monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(backend, "MAX_PARTS", cpus)
     monkeypatch.setattr(sio, "MIN_PART_VALUES", min_values)
 
 
@@ -296,8 +296,8 @@ class TestParallelCsv:
     def test_sampled_digits_size(self, monkeypatch, helpers, drawn, cpus, max_parts):
         # The real MIN_PART_VALUES and block size: 2000 x 784 values fill
         # three parts.
-        monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sio, "MAX_PARTS", max_parts)
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(backend, "MAX_PARTS", max_parts)
         samples, want = drawn
         assert written_csv(samples) == want
         assert len(helpers) == min(cpus, max_parts) - 1
@@ -308,8 +308,8 @@ class TestParallelCsv:
                                         (2 ** 18, 1), (2 ** 18 - 1, 1), (9, 2 ** 17)])
     def test_parts_are_contiguous_and_never_small(self, monkeypatch, cpus, max_parts,
                                                   n, dim):
-        monkeypatch.setattr(sio, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sio, "MAX_PARTS", max_parts)
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(backend, "MAX_PARTS", max_parts)
         bounds = sio._part_bounds(np.empty((n, dim)))
         parts = len(bounds) - 1
         most = min(cpus, max_parts)
@@ -322,14 +322,15 @@ class TestParallelCsv:
 
     def test_at_most_two_parts(self, monkeypatch):
         # The only CPU count the gain was measured with.
-        monkeypatch.setattr(sio, "_usable_cpus", lambda: 64)
-        assert sio.MAX_PARTS == 2
+        monkeypatch.setattr(backend, "_usable_cpus", lambda: 64)
+        assert backend.MAX_PARTS == 2
         assert sio._part_bounds(np.empty((2000, 784))) == [0, 1000, 2000]
 
     def test_cpu_count_and_cap_are_the_kernels(self):
-        # One CPU count and one cap for both parallel paths.
-        assert sio._usable_cpus is backend._usable_cpus
-        assert sio.MAX_PARTS == backend.MAX_PARTS == 2
+        # One parts rule, and so one CPU count and one cap, for both
+        # parallel paths; io keeps no cap of its own to set.
+        assert sio._parts is backend._parts
+        assert not hasattr(sio, "MAX_PARTS") and not hasattr(sio, "_usable_cpus")
 
     @pytest.mark.parametrize("samples", [np.arange(12).reshape(6, 2),
                                          np.linspace(0, 1, 12, dtype=np.float32).reshape(6, 2),

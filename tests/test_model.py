@@ -6,6 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import assert_frozen, random_data, random_model
 import somgmm.model as model_mod
@@ -229,6 +230,66 @@ class TestResponsibilities:
         gamma = responsibilities(random_data(rng, 20, 3), m).gamma
         assert np.all(np.abs(gamma.sum(axis=1) - 1.0) < 1e-9)
         assert np.all((gamma >= 0) & (gamma <= 1))
+
+
+def logsumexp_cases():
+    """(name, N x K matrix) pairs: random rows at scales 1e-3 to 1e6, -inf
+    columns and rows, +inf and NaN entries, exact ties, equal rows, values
+    near -1e300, and K = 1 and N = 1."""
+    rng = np.random.default_rng(26)
+    for case in range(1200):
+        n, k = (int(v) for v in rng.integers(1, 12, size=2))
+        scale = 10.0 ** rng.uniform(-3, 6)
+        lj = rng.normal(size=(n, k)) * scale - rng.uniform(0, 1) * scale
+        row, col = rng.integers(n), rng.integers(k)
+        kind = ("random", "-inf column", "-inf row", "+inf", "nan", "ties",
+                "equal rows", "near -1e300")[case % 8]
+        if kind == "-inf column":
+            lj[:, col] = -np.inf
+        elif kind == "-inf row":
+            lj[row] = -np.inf
+        elif kind == "+inf":
+            lj[row, col] = np.inf
+        elif kind == "nan":
+            lj[row, col] = np.nan
+        elif kind == "ties":
+            lj = np.round(lj / scale)
+        elif kind == "equal rows":
+            lj[row] = lj[0, 0]
+        elif kind == "near -1e300":
+            lj = -1e300 + rng.normal(size=(n, k)) * 1e285
+        yield kind, lj
+    yield "K = 1", rng.normal(size=(7, 1)) * 1e3
+    yield "K = 1 at -inf", np.array([[-np.inf], [np.inf], [np.nan], [0.0]])
+    yield "N = 1", rng.normal(size=(1, 25)) * 1e3
+    yield "N = 1 at -inf", np.full((1, 25), -np.inf)
+
+
+class TestLogsumexpRows:
+    """``_logsumexp_rows`` gives the bytes of the reference logsumexp."""
+
+    def test_bytes_match_the_reference(self):
+        # pytest's configuration turns any floating-point warning into an error.
+        for kind, lj in logsumexp_cases():
+            got = model_mod._logsumexp_rows(lj)
+            want = logsumexp(lj, axis=1, keepdims=True)
+            assert got.shape == want.shape == (lj.shape[0], 1), kind
+            assert got.tobytes() == want.tobytes(), (kind, lj)
+
+    def test_a_nan_entry_gives_nan(self):
+        # The sign of a NaN result follows the hardware's NaN propagation,
+        # so only NaN-ness is compared for mixed-sign NaN rows.
+        lj = np.array([[np.nan, -np.nan, 1.0], [-np.nan, 1.0, 2.0], [-np.nan, -np.inf, 0.0]])
+        assert np.isnan(model_mod._logsumexp_rows(lj)).all()
+
+    def test_losses_use_it(self, rng):
+        m = random_model(rng, 5, 3)
+        data = random_data(rng, 40, 3)
+        lj = log_joint_matrix(data, m)
+        want = logsumexp(lj, axis=1)
+        assert full_log_likelihood(data, m) == float(np.mean(want))
+        gamma = responsibilities(data, m).gamma
+        assert gamma.tobytes() == np.exp(lj - want[:, None]).tobytes()
 
 
 def test_losses_invariant_under_component_permutation(rng):

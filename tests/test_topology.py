@@ -193,9 +193,15 @@ class TestBuildKernel:
             assert top.distance_levels is top.distance_levels
 
     def test_non_positive_sigma(self):
-        for sigma in (0.0, -1.0, math.nan):
+        # sigma 0 lies below IDENTITY_SIGMA and gives the grid's identity;
+        # a negative sigma or NaN is refused.
+        top = GridTopology("1d", 3)
+        for sigma in (0.0, -0.0):
+            kernel = build_kernel(top, sigma)
+            assert kernel.g is top.identity and kernel.is_identity and kernel.sigma == 0.0
+        for sigma in (-1.0, -5e-324, -math.inf, math.nan):
             with pytest.raises(UsageError):
-                build_kernel(GridTopology("1d", 3), sigma)
+                build_kernel(top, sigma)
 
     @given(st.floats(0.05, 50.0), st.sampled_from([4, 9, 16, 25]))
     @settings(max_examples=40, deadline=None)

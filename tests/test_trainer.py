@@ -692,6 +692,27 @@ class TestSgdStep:
         for row in history:
             assert row.sigma == sig.value_at(row.t)
 
+    @pytest.mark.parametrize("regime", ["exact", "max_component"])
+    def test_sigma_schedule_belongs_to_the_smoothed_regime(self, rng, regime):
+        with pytest.raises(UsageError, match="sigma schedule"):
+            basic_config(regime, sigma_schedule=flat_schedule(0.8)).validate()
+        with pytest.raises(UsageError, match="sigma schedule"):
+            run(basic_config(regime, sigma_schedule=flat_schedule(0.8)), random_data(rng, 5, 2))
+        with pytest.raises(UsageError, match="sigma schedule"):
+            basic_config("smoothed", sigma_schedule=None).validate()
+
+    def test_max_component_trains_under_the_identity_at_sigma_zero(self, rng, monkeypatch):
+        # The kernel is built once, at sigma 0, as the grid's identity, and
+        # every history row reports that sigma.
+        built = []
+        monkeypatch.setattr(trainer_mod, "build_kernel",
+                            lambda top, sigma: built.append(sigma) or build_kernel(top, sigma))
+        cfg = basic_config("max_component", T=10, diag_every=1)
+        state = run(cfg, random_data(rng, 15, 2))
+        assert built == [0.0]
+        assert state.kernel.g is state.topology.identity and state.kernel.sigma == 0.0
+        assert [row.sigma for row in state.history] == [0.0] * 11
+
     def test_non_finite_loss_aborts_with_snapshot(self, rng):
         cfg = basic_config("smoothed", T=5, diag_every=1)
         data = random_data(rng, 10, 2)
@@ -1099,7 +1120,7 @@ class TestTiedWinnerGuard:
                            eps_schedule=flat_schedule(EPS))
         data = random_data(np.random.default_rng(4), 30, 5)
         state = make_state(cfg, data)
-        kernel = trainer_mod._regime_kernel(state, cfg, trainer_mod._sigma(cfg, 0))
+        kernel = trainer_mod._regime_kernel(state, trainer_mod._sigma(cfg, 0))
         x = data.samples[3]
         want = state.model.copy()
         sgd_step(state, DataSet(x[None, :]), cfg)
@@ -1493,7 +1514,7 @@ def _one_draw_per_step(config, data):
     """run's loop with one rng.integers(0, N, size=batch_size) call per
     step, as before the indices were drawn in blocks."""
     state = make_state(config, data)
-    trainer_mod._regime_kernel(state, config, trainer_mod._sigma(config, 0))
+    trainer_mod._regime_kernel(state, trainer_mod._sigma(config, 0))
     trainer_mod._log_row(state, config)
     for _ in range(config.total_iters):
         idx = state.rng.integers(0, data.count, size=config.batch_size)
