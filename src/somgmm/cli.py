@@ -193,7 +193,7 @@ def _cmd_verify_equivalence(args):
     data = _load_data(args.data, args.format)
     sigma = args.sigma
     if sigma is None:
-        sigma = ckpt.sigma_schedule.value_inf if ckpt.sigma_schedule else 0.5
+        sigma = ckpt.sigma_schedule.value_inf if ckpt.sigma_schedule else 0.0
     kernel = build_kernel(ckpt.topology, sigma)
     view = sombridge.SomView(ckpt.model, ckpt.topology, kernel)
     report = sombridge.verify_equivalence(data, view)

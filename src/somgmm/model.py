@@ -65,12 +65,9 @@ class MixtureModel:
     tied_spherical: bool = False
 
     def __setattr__(self, name, value):
-        if name == "weights":
-            if not _stored_as_is(value, 1):
-                value = _freeze(np.ascontiguousarray(value, dtype=np.float64))
-        elif name == "precision_roots":
-            if not _stored_as_is(value, 2):
-                value = _freeze(_as_matrix(value, name))
+        ndim = _FROZEN_RANKS.get(name)
+        if ndim is not None and not _stored_as_is(value, ndim):
+            value = _frozen_copy(value, name, ndim)
         # No field is a descriptor, so this is object.__setattr__'s store.
         self.__dict__[name] = value
 
@@ -129,27 +126,31 @@ class MixtureModel:
 
 
 _FLOAT64 = np.dtype(np.float64)
+_FROZEN_RANKS = {"weights": 1, "precision_roots": 2}
 
 
 def _stored_as_is(value, ndim):
     """Whether ``value`` is a frozen (see ``backend._frozen``), C-contiguous
-    float64 ndarray of rank ``ndim``: an array that the conversions and
-    ``_freeze`` would return as it is, so the store keeps it without
-    calling them.  The dtype is tested by identity, which every native
-    float64 array that numpy makes passes; any other array takes the
-    conversions, which give it the same treatment as before."""
+    float64 ndarray of rank ``ndim``, which the store keeps as it is.  The
+    dtype is tested by identity, which every native float64 array that
+    numpy makes passes; anything else is stored as one read-only float64
+    copy."""
     if type(value) is not np.ndarray or value.dtype is not _FLOAT64 or value.ndim != ndim:
         return False
     flags = value.flags
     return flags.c_contiguous and flags.owndata and not flags.writeable
 
 
-def _freeze(arr):
-    """``arr`` if it is frozen (see ``backend._frozen``), else a read-only
-    copy of it."""
-    if not backend._frozen(arr):
-        arr = arr.copy()
-        arr.setflags(write=False)
+def _frozen_copy(value, name, ndim):
+    """``value`` as one new read-only C-contiguous float64 array, at least
+    1-D as ``np.ascontiguousarray`` makes it; a 2-D field refuses any other
+    rank.  numpy makes a scalar 1-D as a view of its copy, which is copied
+    again so that the array owns its data."""
+    arr = np.array(value, dtype=np.float64, order="C", ndmin=1)
+    arr = arr if arr.base is None else arr.copy()
+    if ndim == 2 and arr.ndim != 2:
+        raise UsageError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    arr.setflags(write=False)
     return arr
 
 

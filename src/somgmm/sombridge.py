@@ -4,11 +4,12 @@ an affine constant.
 
 The map's best-matching unit and update share the tied training step's
 code: ``bmu`` takes x - mu through ``backend._difference`` and its winner
-from ``trainer._tied_winner`` (the exact argmin of the kernel-convolved
-squared distances), and ``som_update`` is ``trainer._tied_update``, the
-function behind the tied single-sample SGD step, at rate epsilon with the
-full pull.  So an update is bitwise such a step under the eps/d^2 rate
-mapping, ties included.  ``_convolved_sq_distances`` is the reference formula
+from ``somstep._tied_winner`` (the exact argmin of the kernel-convolved
+squared distances), and ``som_update`` is
+``trainer.neighborhood_pull(*somstep._tied_pull(...))``, the pull behind
+the tied single-sample SGD step, at rate epsilon with the full pull.  So an
+update is bitwise such a step under the eps/d^2 rate mapping, ties
+included.  ``_convolved_sq_distances`` is the reference formula
 behind ``som_energy`` and ``verify_equivalence``.
 """
 
@@ -21,7 +22,8 @@ from . import backend, model as mc
 from .exceptions import UsageError
 from .model import DataSet, MixtureModel, HALF_LOG_2PI
 from .topology import GridTopology, NeighborhoodKernel
-from .trainer import _tied_update, _tied_winner, neighborhood_pull  # noqa: F401
+from .somstep import _tied_pull, _tied_winner
+from .trainer import neighborhood_pull
 
 
 class SomView:
@@ -89,7 +91,7 @@ def som_update(view: SomView, x, epsilon: float):
     if not 0 <= epsilon < math.inf:
         raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
-    _tied_update(view.prototypes, view.kernel.g, x, epsilon, False)
+    neighborhood_pull(*_tied_pull(view.prototypes, view.kernel.g, x, epsilon, False))
     return view
 
 

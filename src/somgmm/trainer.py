@@ -3,6 +3,10 @@ neighborhood annealing and collapse diagnostics.
 
 The losses are maximized; ``sgd_step`` performs gradient *ascent* and the
 history reports the loss as-is.
+
+A tied single-sample step is the SOM update: ``somstep._tied_pull`` finds
+the exact winner and returns the pull's rows, and ``neighborhood_pull``
+applies them, as in ``sombridge.som_update``.
 """
 
 import math
@@ -14,11 +18,11 @@ from . import backend
 from . import model as mc
 from .exceptions import NumericsError, UsageError
 from .model import DataSet, MixtureModel, D_MAX, D_MIN, WEIGHT_FLOOR
+from .somstep import _tied_pull
 from .topology import (
     AnnealingSchedule,
     GridTopology,
     NeighborhoodKernel,
-    _is_identity,
     build_kernel,
     epsilon_at,
     sigma_at,
@@ -39,13 +43,6 @@ COLLAPSE_RESP = 1e-3
 
 # Cap on the minibatch indices that ``run`` draws in one rng call.
 DRAW_BLOCK = 2 ** 16
-
-# Margin of the tied winner's guard over its rounding bound
-# (``_tied_winner``); the measured worst error over the bound is in
-# ``tests/test_trainer.py``.
-TIED_GUARD_FACTOR = 2.0
-_EPS = np.finfo(np.float64).eps
-_TINY = 2.0 ** -1074
 
 
 @dataclass
@@ -83,6 +80,8 @@ class TrainConfig:
             raise UsageError("initial precision outside the allowed bounds")
         if self.init_mode not in ("random", "data_mean"):
             raise UsageError(f"unknown init mode {self.init_mode!r}")
+        if self.tied_spherical and (self.train_weights or self.train_precisions):
+            raise UsageError("a tied model trains neither weights nor precisions")
         # Only the smoothed regime has a neighbourhood radius to anneal.
         if (self.loss_regime == "smoothed") != (self.sigma_schedule is not None):
             raise UsageError("the smoothed regime, and only it, takes a sigma schedule")
@@ -125,8 +124,8 @@ class TrainState:
     model's, are fixed for the run: ``make_state`` validates the starting
     model and keeps ``tied_terms = (d, weights, p, one_row, mu)`` with the
     scalar ``p = d^2`` of the pull, whether the one-row pull is exact and
-    the centroids it was judged on (see ``_tied_terms``), for the update
-    ``_tied_update`` that the step shares with ``sombridge.som_update``.  A
+    the centroids it was judged on (see ``_tied_terms``), for the pull
+    ``somstep._tied_pull`` that the step shares with ``sombridge.som_update``.  A
     tied step uses them while the model holds those same arrays, d and the
     weights still read-only; another model, a copy included, or arrays made
     writeable again, are validated and get fresh terms first."""
@@ -258,7 +257,9 @@ def project_weight_gradient(gpi: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, diff: np.ndarray):
     """In-place pull of every centroid toward x, scaled per component, from
     the caller's ``diff = x - centroids``, which is scaled in place: bitwise
-    centroids += coeff[:, None] * (x - centroids) with one K x D temporary."""
+    centroids += coeff[:, None] * (x - centroids) with one K x D temporary.
+    The tied step and ``sombridge.som_update`` pass it the rows of
+    ``somstep._tied_pull``."""
     diff *= coeff[:, None]
     centroids += diff
 
@@ -339,8 +340,8 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
         if terms is not None and batch.count == 1:
             g = mc._kernel_matrix(model, kernel)
             mc._check_dims(batch, model)
-            _tied_update(model.centroids, g, batch.samples[0], eps * terms[2],
-                         terms[3] and kernel.is_identity)
+            neighborhood_pull(*_tied_pull(model.centroids, g, batch.samples[0],
+                                          eps * terms[2], terms[3] and kernel.is_identity))
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
             enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
@@ -359,7 +360,7 @@ def _tied_terms(state: TrainState) -> tuple:
     made from, or d or the weights were made writeable again: the model is
     validated, p is the pull's scalar d^2, and one_row says that the
     centroids mu held no -0.0 when the terms were made (see
-    ``_tied_update``)."""
+    ``somstep._tied_pull``)."""
     terms, model = state.tied_terms, state.model
     d, weights, mu = model.precision_roots, model.weights, model.centroids
     if (terms is None or terms[0] is not d or terms[1] is not weights
@@ -370,131 +371,6 @@ def _tied_terms(state: TrainState) -> tuple:
     return terms
 
 
-def _tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, diff: np.ndarray):
-    """The winner for one row x of a tied model, from ``diff = x - mu``:
-    the least V_k = sum_j g_kj ||x - mu_j||^2 over the float inputs, lowest
-    index on exact ties, and whether the fast path settled it (so diff is
-    finite).  ``sombridge.bmu`` and ``_tied_update``, behind
-    ``sombridge.som_update`` and the tied step, take their winner from here.
-
-    A tied model has one normaliser b and one precision P, so the smoothed
-    score of row k is b r_k - (P/2) V_k with row sums r_k = sum_j g_kj;
-    with unit row sums, as in the paper, the best score has the least V,
-    the map's energy.
-
-    Fast path: ``u = g @ s`` with s the row norms of diff as batched BLAS
-    dot products, one read of diff.  The first index w of the least entry
-    u1 wins when the runner-up u2 clears
-    u2 - u1 > F n (1.01 eps u2 + 2^-1074), n = D + K + 2,
-    F = ``TIED_GUARD_FACTOR``.  The bound, with unit roundoff e = eps / 2
-    and g_n = n e / (1 - n e) <= 1.01 n e, for couplings >= 0 with row
-    sums near 1 (every ``build_kernel`` kernel): the difference, its
-    square and a sum of D products in any order, fused or not, put each
-    s_j within g_(D+2) of ||x - mu_j||^2 (a subnormal difference is
-    exact), the smoothing products and their sum add g_K, and each of the
-    D + K products behind a u that falls below the normal range adds at
-    most 2^-1075.  So |u_k - V_k| <= g_n V_k + (D+K+1) 2^-1075 =: g_n V_k + c.
-    If V_k <= V_w, then u_k - u1 <= 2 g_n V_k + 2c, and V_k <= V_w <=
-    (u1 + c) / (1 - g_n) <= (u_k + c) / (1 - g_n); so k != w loses once
-    u_k - u1 > 2 g_n u_k + (D+K+1) 2^-1074, the test with F = 1 at u_k.
-    F = 2 also covers the rounding of the test itself and the terms in c.
-    u_k - u1 - 2 g_n u_k grows with u_k, so the runner-up's test settles
-    every k.  The gap is strict, so exact ties fall back.  ``sum(s)`` is
-    tested first: a finite sum makes diff, s and u finite (an overflowing
-    u fails the gap), so a NaN or inf never reaches the sort.  The few
-    values are compared as Python floats, which costs less than numpy
-    calls on arrays this small.  Unlike ``einsum``, the dot products
-    report overflow: a finite diff whose squared norm overflows (entries
-    beyond about 1.3e154) warns with numpy's overflow ``RuntimeWarning``,
-    as the step's own subtraction and pull do for larger ones, and its
-    inf sum falls back.
-
-    Otherwise the winner is ``_exact_tied_winner``'s.  When the sum was
-    finite and g is the identity, so that V_k needs row k alone, only the
-    candidates are measured: the rows k that fail the test at u_k,
-    u_k - u1 <= F n (1.01 eps u_k + 2^-1074); w beats every other row.
-    K = 1 needs neither.
-    """
-    K, D = diff.shape
-    if K == 1:
-        return 0, True
-    s = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
-    rows = None
-    if math.isfinite(sum(s.tolist())):
-        u = (g @ s).tolist()
-        u1, u2 = sorted(u)[:2]
-        bound = TIED_GUARD_FACTOR * (D + K + 2)
-        if u2 - u1 > bound * (1.01 * _EPS * u2 + _TINY):
-            return u.index(u1), True
-        if _is_identity(g):
-            rows = [k for k, uk in enumerate(u) if uk - u1 <= bound * (1.01 * _EPS * uk + _TINY)]
-    return _exact_tied_winner(g, x, mu, rows), False
-
-
-def _exact_tied_winner(g: np.ndarray, x: np.ndarray, mu: np.ndarray, rows=None) -> int:
-    """The least V_k = sum_j g_kj ||x - mu_j||^2, lowest index on ties,
-    computed exactly in Python integers: every float is n / 2^m
-    (``float.as_integer_ratio``), so x and the finite rows of mu, and
-    apart from them g, are integers on one common scale.  Equal rows have
-    equal distances, so each distinct row is measured once.  A finite x
-    and mu whose difference would overflow a float stay exact.  A
-    non-finite entry in x or in row j of mu puts mu_j infinitely far: every
-    k with g_kj > 0 gets V_k = inf, and when every V is infinite the winner
-    is 0.  Given ``rows`` (the identity kernel's candidates, see
-    ``_tied_winner``), only those rows are measured and the others count
-    as infinitely far.
-    """
-    K, D = mu.shape
-    sq = [math.inf] * K
-    distinct = {}  # distinct finite row -> the indices j that hold it
-    if np.isfinite(x).all():
-        finite = np.isfinite(mu).all(axis=1)
-        for j in (np.flatnonzero(finite).tolist() if rows is None
-                  else [j for j in rows if finite[j]]):
-            distinct.setdefault(tuple(mu[j].tolist()), []).append(j)
-    if distinct:
-        ints = _on_common_scale(x.tolist() + [v for row in distinct for v in row])
-        xs = ints[:D]
-        for n, near in enumerate(distinct.values(), 1):
-            q = sum((a - b) ** 2 for a, b in zip(xs, ints[n * D:(n + 1) * D]))
-            for j in near:
-                sq[j] = q
-    gs = _on_common_scale(g.ravel().tolist())
-    v = [sum(c * q for c, q in zip(gs[k * K:(k + 1) * K], sq) if c) for k in range(K)]
-    return v.index(min(v))
-
-
-def _on_common_scale(values: list) -> list:
-    """Finite floats as integers in units of the least power of two that
-    divides them all: n * (scale // d) for each ratio n / d."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = max(d for _, d in ratios)
-    return [n * (scale // d) for n, d in ratios]
-
-
-def _tied_update(mu: np.ndarray, g: np.ndarray, x: np.ndarray, rate: float, one_row: bool):
-    """The tied single-sample update, in place, behind both
-    ``sombridge.som_update`` (rate epsilon) and the tied step of
-    ``sgd_step`` (rate eps * p, p the run's d^2, so d and the weights are
-    never read): x - mu is taken once, the winner w is ``_tied_winner``'s,
-    and the pull scales that difference by ``rate * g[w]``.
-
-    With ``one_row`` set and the winner settled by the fast path (so diff
-    is finite), only row w is pulled, through one-row views.  The step
-    sets it for the identity kernel when ``_tied_terms`` found no -0.0 in
-    the centroids: a zero coefficient changes a finite entry only when it
-    is -0.0 and x_i >= 0 (to +0.0), and a pull never makes a -0.0, so the
-    one-row pull is then bitwise the full pull.
-    """
-    diff = backend._difference(x, mu)
-    w, settled = _tied_winner(g, x, mu, diff)
-    if settled and one_row:
-        row = slice(w, w + 1)
-        neighborhood_pull(mu[row], rate * g[w, row], diff[row])
-    else:
-        neighborhood_pull(mu, rate * g[w], diff)
-
-
 def _apply(model, config, eps, gmu, gd, gpi):
     """Step the centroids in place and return the stepped precision roots
     and weights, new arrays where they are trained, for
@@ -502,9 +378,9 @@ def _apply(model, config, eps, gmu, gd, gpi):
     mu = model.centroids
     mu += eps * gmu
     d, w = model.precision_roots, model.weights
-    if config.train_precisions and not model.tied_spherical:
+    if config.train_precisions:
         d = d + eps * gd
-    if config.train_weights and not model.tied_spherical:
+    if config.train_weights:
         w = w + eps * gpi
     return d, w
 

@@ -20,7 +20,7 @@ from conftest import (
     random_data,
     random_model,
 )
-from somgmm import cli, trainer
+from somgmm import cli, somstep
 from somgmm.io import load_checkpoint, load_csv, load_idx, save_checkpoint, save_csv, write_idx
 from somgmm.model import (
     DataSet,
@@ -474,7 +474,7 @@ def test_14_one_exact_winner_on_near_ties():
                               tied_spherical=True, seed=0)
         mu = model.centroids
         winner = fraction_winner(kernel.g, x, mu)
-        undecided += not trainer._tied_winner(kernel.g, x, mu, x - mu)[1]
+        undecided += not somstep._tied_winner(kernel.g, x, mu, x - mu)[1]
         want = mu.copy()
         neighborhood_pull(want, eps * kernel.g[winner], x - want)
 

@@ -169,6 +169,8 @@ image_cols = 2
         ("seed = 5", "seed = 5\nseed = 6"),
         ("grid = 2d", "grid = 2d\n# grid = 1d\nsigma0 = 1.0"),
         ("eps0 = 0.1", "eps0 = 0.05#x"),  # '#' after a value is part of it
+        ("tied = true", "tied = true\ntrain_weights = true"),
+        ("tied = true", "tied = true\ntrain_precisions = true"),
         # A size numpy cannot allocate on any machine: a K x K kernel.
         ("components = 4", "components = 100000000000000000000"),
         # The exact regime refuses the sigma keys before any size check;
@@ -497,6 +499,24 @@ class TestVerifyEquivalence:
         m = re.fullmatch(r"max_abs_err=(\S+) constant=(\S+)", out.strip())
         assert m is not None
         assert all(np.isfinite([float(v) for v in m.groups()]))
+
+    def test_max_component_checkpoint_defaults_to_sigma_zero(self, tmp_path, capsys):
+        # A checkpoint without a sigma schedule trained under the identity
+        # kernel, and is checked under it when --sigma is not given.
+        cfg = write_training_setup(tmp_path, total_iters=100)
+        text = cfg.read_text().replace("loss_regime = smoothed", "loss_regime = max_component")
+        cfg.write_text(text.replace("sigma0 = 1.0\n", "").replace("sigma_inf = 0.01\n", ""))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        data = tmp_path / "eq.csv"
+        save_csv(four_cluster_data(4), data)
+        verify = ["verify-equivalence", "--model", str(tmp_path / "out" / "model.ckpt"),
+                  "--data", str(data)]
+        outs = []
+        for extra in ([], ["--sigma", "0"], ["--sigma", "0.5"]):
+            capsys.readouterr()
+            assert cli.main(verify + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != outs[2]
 
     def test_untied_checkpoint_exit_1(self, tmp_path, capsys):
         cfg = write_training_setup(tmp_path, tied=False, total_iters=100)

@@ -12,8 +12,8 @@ import pytest
 
 import somgmm
 
-LAYERS = ["exceptions", "backend", "topology", "model", "trainer", "sombridge",
-          "inference", "io", "cli"]
+LAYERS = ["exceptions", "backend", "topology", "model", "somstep", "trainer",
+          "sombridge", "inference", "io", "cli"]
 # Entry points and the tracer's placeholder sit above every layer.
 ENTRY = {"__init__", "__main__", "_core_py"}
 PACKAGE = Path(somgmm.__file__).parent
@@ -34,6 +34,15 @@ def sibling_imports(path):
             for alias in node.names:
                 if alias.name.startswith("somgmm."):
                     yield alias.name.split(".")[1]
+
+
+def private_imports(path, module):
+    """The underscore-prefixed names that the file imports from the package
+    module ``module``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("somgmm"))
+                and (node.module or "").removeprefix("somgmm").lstrip(".") == module):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
 
 
 def outside_imports(path):
@@ -62,6 +71,18 @@ def test_an_upward_import_is_found(tmp_path):
     path.write_text("from . import cli, model as mc\nfrom .io import x\n"
                     "import somgmm.trainer\nfrom somgmm.sombridge import y\nimport numpy\n")
     assert list(sibling_imports(path)) == ["cli", "model", "io", "trainer", "sombridge"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_name_is_imported_from_the_trainer(path):
+    assert list(private_imports(path, "trainer")) == []
+
+
+def test_private_imports_are_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from .trainer import _tied_pull, run\nfrom somgmm.trainer import _x\n"
+                    "from .somstep import _tied_pull\nfrom . import trainer\n")
+    assert list(private_imports(path, "trainer")) == ["_tied_pull", "_x"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

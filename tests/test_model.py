@@ -364,10 +364,16 @@ class TestFrozenArrays:
     @staticmethod
     def converted(name, value):
         """The store's conversions, which every assignment went through
-        before frozen arrays were kept without them."""
+        before frozen arrays were kept without them, ending in one read-only
+        copy unless they give back a frozen array of the field's rank."""
         if name == "weights":
-            return model_mod._freeze(np.ascontiguousarray(value, dtype=np.float64))
-        return model_mod._freeze(model_mod._as_matrix(value, name))
+            arr, rank = np.ascontiguousarray(value, dtype=np.float64), 1
+        else:
+            arr, rank = model_mod._as_matrix(value, name), 2
+        if arr.ndim != rank or not model_mod.backend._frozen(arr):
+            arr = arr.copy()
+            arr.setflags(write=False)
+        return arr
 
     @staticmethod
     def frozen(arr):
@@ -424,7 +430,7 @@ class TestFrozenArrays:
         # arrays without converting them.
         m = random_model(rng, 3, 2)
         calls = []
-        monkeypatch.setattr(model_mod, "_freeze", lambda arr: calls.append(arr) or arr)
+        monkeypatch.setattr(model_mod, "_frozen_copy", lambda arr, *_: calls.append(arr) or arr)
         MixtureModel(m.weights, m.centroids, m.precision_roots).copy()
         enforce_constraints(m, m.precision_roots * 2.0, m.weights + 1.0)
         assert calls == []

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_data, random_model
 from somgmm.exceptions import DataError, UsageError
-from somgmm import backend, sombridge, trainer
+from somgmm import backend, sombridge, somstep, trainer
 from somgmm.model import DataSet, MixtureModel
 from somgmm.sombridge import (
     SomView,
@@ -162,18 +162,18 @@ class TestSomUpdate:
     def test_shares_the_tied_steps_winner_and_difference(self, rng, monkeypatch):
         # bmu, som_update and the tied sgd_step take their winner from one
         # helper, and each step takes x - mu once; som_update and the tied
-        # one-row step run one shared update.
+        # one-row step take their pull from one shared helper.
         calls = []
 
         def counting(name, fn):
             return lambda *args: calls.append(name) or fn(*args)
 
-        winner = counting("winner", trainer._tied_winner)
-        monkeypatch.setattr(trainer, "_tied_winner", winner)
+        winner = counting("winner", somstep._tied_winner)
+        monkeypatch.setattr(somstep, "_tied_winner", winner)
         monkeypatch.setattr(sombridge, "_tied_winner", winner)
-        update = counting("update", trainer._tied_update)
-        monkeypatch.setattr(trainer, "_tied_update", update)
-        monkeypatch.setattr(sombridge, "_tied_update", update)
+        pull = counting("pull", somstep._tied_pull)
+        monkeypatch.setattr(trainer, "_tied_pull", pull)
+        monkeypatch.setattr(sombridge, "_tied_pull", pull)
         monkeypatch.setattr(backend, "_difference", counting("difference", backend._difference))
         view = tied_view(rng)
         x = rng.normal(size=3)
@@ -183,9 +183,9 @@ class TestSomUpdate:
         state = make_state(cfg, DataSet(x[None, :]))
         state.model = view.model.copy()
         for step, want in ((lambda: bmu(x, view), ["difference", "winner"]),
-                           (lambda: som_update(view, x, 0.1), ["update", "difference", "winner"]),
+                           (lambda: som_update(view, x, 0.1), ["pull", "difference", "winner"]),
                            (lambda: sgd_step(state, DataSet(x[None, :]), cfg),
-                            ["update", "difference", "winner"])):
+                            ["pull", "difference", "winner"])):
             calls.clear()
             step()
             assert calls == want

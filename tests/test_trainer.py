@@ -18,6 +18,7 @@ from conftest import (
 )
 import somgmm.backend as backend_mod
 import somgmm.model as mc
+import somgmm.somstep as somstep
 import somgmm.trainer as trainer_mod
 from somgmm.exceptions import DataError, NumericsError, UsageError
 from somgmm.model import (
@@ -701,6 +702,15 @@ class TestSgdStep:
         with pytest.raises(UsageError, match="sigma schedule"):
             basic_config("smoothed", sigma_schedule=None).validate()
 
+    @pytest.mark.parametrize("key", ["train_weights", "train_precisions"])
+    def test_tied_config_trains_neither_weights_nor_precisions(self, rng, key):
+        # A tied model's d and weights are fixed for the run, so a tied
+        # config that asks to train either is refused before any step.
+        cfg = basic_config(tied_spherical=True, **{key: True})
+        with pytest.raises(UsageError, match="tied model trains neither"):
+            run(cfg, random_data(rng, 5, 2))
+        basic_config(**{key: True}).validate()
+
     def test_max_component_trains_under_the_identity_at_sigma_zero(self, rng, monkeypatch):
         # The kernel is built once, at sigma 0, as the grid's identity, and
         # every history row reports that sigma.
@@ -910,7 +920,7 @@ EPS64 = np.finfo(np.float64).eps
 
 # The exact fallback as the module defines it, out of reach of the
 # ``winner_calls`` fixture's counting wrapper.
-EXACT_WINNER = trainer_mod._exact_tied_winner
+EXACT_WINNER = somstep._exact_tied_winner
 
 
 def screened_winner(g, x, mu):
@@ -945,11 +955,11 @@ def winner_calls(monkeypatch):
     """Counts the exact winners that the tied step falls back to."""
     calls = []
 
-    def counting(*args, _fn=trainer_mod._exact_tied_winner):
+    def counting(*args, _fn=somstep._exact_tied_winner):
         calls.append(1)
         return _fn(*args)
 
-    monkeypatch.setattr(trainer_mod, "_exact_tied_winner", counting)
+    monkeypatch.setattr(somstep, "_exact_tied_winner", counting)
     return calls
 
 
@@ -958,8 +968,9 @@ def assert_tied_step_exact(model, kernel, eps, x, terms=None):
     if terms is None:
         terms = tied_terms_of(model, model.n_components)
     want = model.copy()
-    trainer_mod._tied_update(model.centroids, kernel.g, x, eps * terms[2],
-                             terms[3] and kernel.is_identity)
+    trainer_mod.neighborhood_pull(*somstep._tied_pull(model.centroids, kernel.g, x,
+                                                      eps * terms[2],
+                                                      terms[3] and kernel.is_identity))
     frozen_tied_step(want, terms, kernel, eps, x)
     assert model.centroids.tobytes() == want.centroids.tobytes()
 
@@ -1049,7 +1060,7 @@ class TestTiedWinnerGuard:
                     err = abs((v[k] - v[w]) - (Fraction(u[k]) - Fraction(u[w])))
                     bound = (D + K + 2) * (1.01 * EPS64 * max(u[k], u[w]) + 2.0 ** -1074)
                     worst = max(worst, float(err) / bound)
-        assert 0.0 < worst <= 1.0 and trainer_mod.TIED_GUARD_FACTOR >= 2.0
+        assert 0.0 < worst <= 1.0 and somstep.TIED_GUARD_FACTOR >= 2.0
 
     def test_exact_winner_is_the_fraction_winner(self, rng):
         # The integer fallback against Fraction arithmetic on random cases,
@@ -1063,7 +1074,7 @@ class TestTiedWinnerGuard:
             cases.append((model, kernel, eps, x))
         for model, kernel, _, x in cases:
             g, mu = kernel.g, model.centroids
-            assert trainer_mod._exact_tied_winner(g, x, mu) == fraction_winner(g, x, mu)
+            assert somstep._exact_tied_winner(g, x, mu) == fraction_winner(g, x, mu)
 
     @pytest.mark.parametrize("K", [4, 25])
     def test_equal_rows_measured_once(self, rng, monkeypatch, K):
@@ -1074,11 +1085,11 @@ class TestTiedWinnerGuard:
         D = 64
         scaled = []
 
-        def recording(values, _fn=trainer_mod._on_common_scale):
+        def recording(values, _fn=somstep._on_common_scale):
             scaled.append(len(values))
             return _fn(values)
 
-        monkeypatch.setattr(trainer_mod, "_on_common_scale", recording)
+        monkeypatch.setattr(somstep, "_on_common_scale", recording)
         x = rng.normal(size=D)
         for sigma in (1e-7, 0.8):
             g = build_kernel(grid_topology(K), sigma).g
@@ -1144,7 +1155,7 @@ class TestTiedWinnerGuard:
         x = rng.normal(size=3)
         kernel = build_kernel(grid_topology(9), sigma)
         with np.errstate(all="ignore"):
-            w, _ = trainer_mod._tied_winner(kernel.g, x, model.centroids,
+            w, _ = somstep._tied_winner(kernel.g, x, model.centroids,
                                             x - model.centroids)
             assert_tied_step_exact(model, kernel, EPS, x, terms)
         if not np.isfinite(far):
@@ -1164,7 +1175,7 @@ class TestTiedWinnerGuard:
         diff = x - mu
         assert np.isfinite(diff).all()
         with pytest.warns(RuntimeWarning, match="overflow"):
-            w, settled = trainer_mod._tied_winner(g, x, mu, diff)
+            w, settled = somstep._tied_winner(g, x, mu, diff)
         assert w == fraction_winner(g, x, mu) and not settled
         assert len(winner_calls) == 1
 
@@ -1173,23 +1184,26 @@ class TestTiedWinnerGuard:
         # Under the identity kernel a fallback with a finite sum measures
         # the rows within the guard's bound of the least u: here the two
         # rows tied with the winner and the one a few ulps behind.  Equal
-        # candidate rows are measured once.  A dense kernel needs every
-        # row: on a sphere around x each V_k is 0.25 r_k, whose row sums r_k
-        # differ by rounding only.
+        # candidate rows are measured once.  Under an annealed kernel it
+        # measures the rows that some candidate couples to: at sigma 0.05
+        # on the 5 x 5 grid, couplings at squared grid distance 4 or more
+        # are exact zeros, so each candidate's 3 x 3 neighbourhood.  A dense
+        # kernel needs every row: on a sphere around x each V_k is 0.25 r_k,
+        # whose row sums r_k differ by rounding only.
         D = 64
         scaled = []
 
-        def recording(values, _fn=trainer_mod._on_common_scale):
+        def recording(values, _fn=somstep._on_common_scale):
             scaled.append(len(values))
             return _fn(values)
 
         def winner(sigma, mu):
             g = build_kernel(grid_topology(K), sigma).g
-            w, settled = trainer_mod._tied_winner(g, x, mu, x - mu)
+            w, settled = somstep._tied_winner(g, x, mu, x - mu)
             assert w == fraction_winner(g, x, mu) and not settled
             return w
 
-        monkeypatch.setattr(trainer_mod, "_on_common_scale", recording)
+        monkeypatch.setattr(somstep, "_on_common_scale", recording)
         x = rng.normal(size=D)
         x[:K] = 0.0
         e = 0.5 * np.eye(D)[:K]
@@ -1199,6 +1213,14 @@ class TestTiedWinnerGuard:
         for sigma in (1e-7, 0.02):
             assert winner(sigma, mu) == 3
             assert scaled[-2:] == [(1 + 3) * D, K * K]
+        if K == 25:
+            top = grid_topology(K)
+            g = build_kernel(top, 0.05).g
+            assert np.array_equal(g > 0, top.distance_sq < 4)
+            near = {j for k in (3, 5, K - 2) for j in range(K) if top.distance_sq[k, j] < 4}
+            assert 9 < len(near) < K
+            winner(0.05, mu)
+            assert scaled[-2:] == [(1 + len(near)) * D, K * K]
         mu[5] = mu[3]
         assert winner(0.02, mu) == 3
         assert scaled[-2:] == [(1 + 2) * D, K * K]
@@ -1233,7 +1255,7 @@ class TestOneRowPull:
         per tied step."""
         steps = []
 
-        def recording_step(mu, g, x, rate, one_row, _fn=trainer_mod._tied_update):
+        def recording_step(mu, g, x, rate, one_row, _fn=trainer_mod._tied_pull):
             steps.append([np.count_nonzero(g) == g.shape[0], mu])
             return _fn(mu, g, x, rate, one_row)
 
@@ -1241,7 +1263,7 @@ class TestOneRowPull:
             steps[-1][1] = (centroids.shape[0], centroids.base is steps[-1][1])
             return _fn(centroids, coeff, diff)
 
-        monkeypatch.setattr(trainer_mod, "_tied_update", recording_step)
+        monkeypatch.setattr(trainer_mod, "_tied_pull", recording_step)
         monkeypatch.setattr(trainer_mod, "neighborhood_pull", recording_pull)
         return steps
 
@@ -1284,8 +1306,8 @@ class TestOneRowPull:
         for idx in trainer_mod._batch_indices(cfg, np.random.default_rng(9), 50, 0):
             x = data.samples[idx[0]]
             frozen_tied_step(want, forced, kernel, EPS, x)
-            trainer_mod._tied_update(state.model.centroids, kernel.g, x, EPS * forced[2],
-                                     forced[3] and kernel.is_identity)
+            neighborhood_pull(*somstep._tied_pull(state.model.centroids, kernel.g, x,
+                                                  EPS * forced[2], forced[3] and kernel.is_identity))
         assert got.centroids.tobytes() == want.centroids.tobytes()
         # The one-row pull, were it taken, would keep the far rows' -0.0.
         assert np.array_equal(state.model.centroids, want.centroids)
