@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.  A
+request that needs more memory than the machine can allocate (numpy's
+"Unable to allocate ..." ``MemoryError``) is a usage error, exit 1.
 """
 
 import argparse
@@ -266,7 +268,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:

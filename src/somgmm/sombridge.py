@@ -7,8 +7,9 @@ code: ``bmu`` takes x - mu through ``backend._difference`` and its winner
 from ``somstep._tied_winner`` (the exact argmin of the kernel-convolved
 squared distances), and ``som_update`` is
 ``trainer.neighborhood_pull(*somstep._tied_pull(...))``, the pull behind
-the tied single-sample SGD step, at rate epsilon with the full pull.  So an
-update is bitwise such a step under the eps/d^2 rate mapping, ties
+the tied single-sample SGD step, at rate epsilon, with the rows that
+``_tied_pull`` chooses: the winner's alone under the identity kernel.  So
+an update is bitwise such a step under the eps/d^2 rate mapping, ties
 included.  ``_convolved_sq_distances`` is the reference formula
 behind ``som_energy`` and ``verify_equivalence``.
 """
@@ -87,11 +88,12 @@ def bmu(x, view: SomView) -> int:
 
 def som_update(view: SomView, x, epsilon: float):
     """One online step: pull every prototype toward x in proportion to its
-    kernel coupling with the BMU."""
+    kernel coupling with the BMU (under the identity kernel, the BMU's row
+    alone; see ``somstep._tied_pull``)."""
     if not 0 <= epsilon < math.inf:
         raise UsageError("epsilon must be finite and non-negative")
     x = mc.as_vector(x, view.model)
-    neighborhood_pull(*_tied_pull(view.prototypes, view.kernel.g, x, epsilon, False))
+    neighborhood_pull(*_tied_pull(view.prototypes, view.kernel, x, epsilon))
     return view
 
 

@@ -2,10 +2,11 @@
 arguments of the pull that moves the centroids toward it.
 
 ``trainer.sgd_step``'s tied one-row step and ``sombridge.som_update`` both
-run ``trainer.neighborhood_pull(*_tied_pull(mu, g, x, rate, one_row))``,
-and ``sombridge.bmu`` takes its winner from ``_tied_winner``, so the
-prototype-map update is bitwise the tied SGD step, ties included.  The pull
-itself stays in ``trainer``, under the span name that ``bench/`` traces.
+run ``trainer.neighborhood_pull(*_tied_pull(mu, kernel, x, rate))``, and
+``sombridge.bmu`` takes its winner from ``_tied_winner``, so the
+prototype-map update is bitwise the tied SGD step, ties included.
+``_tied_pull`` alone decides which rows the pull writes.  The pull itself
+stays in ``trainer``, under the span name that ``bench/`` traces.
 """
 
 import math
@@ -22,26 +23,27 @@ _EPS = np.finfo(np.float64).eps
 _TINY = 2.0 ** -1074
 
 
-def _tied_pull(mu: np.ndarray, g: np.ndarray, x: np.ndarray, rate: float, one_row: bool):
+def _tied_pull(mu: np.ndarray, kernel, x: np.ndarray, rate: float):
     """The arguments ``(centroids, coeff, diff)`` of the tied single-sample
     pull toward x, for ``trainer.neighborhood_pull``: x - mu is taken once,
-    the winner w is ``_tied_winner``'s, and the pull scales that difference
-    by ``rate * g[w]``.  ``sombridge.som_update`` takes rate epsilon and the
-    tied step of ``sgd_step`` rate eps * p, p the run's d^2, so d and the
-    weights are never read.
+    the winner w is ``_tied_winner``'s under the kernel's couplings g, and
+    the pull scales that difference by ``rate * g[w]``.
+    ``sombridge.som_update`` takes rate epsilon and the tied step of
+    ``sgd_step`` rate eps * p, p the run's d^2, so d and the weights are
+    never read.
 
-    With ``one_row`` set and the winner settled by the fast path (so diff
-    is finite), the arguments are one-row views of row w.  The step sets it
-    for the identity kernel when ``trainer._tied_terms`` found no -0.0 in
-    the centroids: a zero coefficient changes a finite entry only when it
-    is -0.0 and x_i >= 0 (to +0.0), and a pull never makes a -0.0, so the
-    one-row pull is then bitwise the full pull.
+    The rule for the rows: under the identity kernel
+    (``kernel.is_identity``), a pull whose winner the fast path settled (so
+    diff is finite) writes row w and no other row, through one-row views.
+    Every other pull writes every row.  A row that the full pull would
+    scale by a zero coefficient keeps its value, up to the sign of a zero:
+    the one-row pull leaves a -0.0 there as -0.0.
     """
+    g = kernel.g
     diff = backend._difference(x, mu)
     w, settled = _tied_winner(g, x, mu, diff)
-    if settled and one_row:
-        row = slice(w, w + 1)
-        return mu[row], rate * g[w, row], diff[row]
+    if settled and kernel.is_identity:
+        return mu[w:w + 1], rate * g[w, w:w + 1], diff[w:w + 1]
     return mu, rate * g[w], diff
 
 

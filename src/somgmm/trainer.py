@@ -69,6 +69,7 @@ class TrainConfig:
             raise UsageError(f"unknown loss regime {self.loss_regime!r}")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
+        mc._require_size((self.batch_size,), "minibatch")
         if self.total_iters < 1:
             raise UsageError("total_iters must be >= 1")
         if self.diag_every < 1:
@@ -121,14 +122,14 @@ class DataStats:
 @dataclass
 class TrainState:
     """A run in progress.  A tied model's d and weights, frozen like every
-    model's, are fixed for the run: ``make_state`` validates the starting
-    model and keeps ``tied_terms = (d, weights, p, one_row, mu)`` with the
-    scalar ``p = d^2`` of the pull, whether the one-row pull is exact and
-    the centroids it was judged on (see ``_tied_terms``), for the pull
-    ``somstep._tied_pull`` that the step shares with ``sombridge.som_update``.  A
-    tied step uses them while the model holds those same arrays, d and the
-    weights still read-only; another model, a copy included, or arrays made
-    writeable again, are validated and get fresh terms first."""
+    model's, are fixed for the run: its first tied step validates the model
+    and keeps ``tied_terms = (d, weights, p)`` with the scalar ``p = d^2``
+    of the pull ``somstep._tied_pull`` that the step shares with
+    ``sombridge.som_update`` (see ``_tied_terms``).  A tied step uses them
+    while the model holds those same arrays, d and the weights still
+    read-only, as a copy of the model does; a model with other d or
+    weights, or with those made writeable again, is validated and gets
+    fresh terms first."""
 
     model: MixtureModel
     t: int
@@ -338,10 +339,10 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
     else:
         kernel = _regime_kernel(state, sigma)
         if terms is not None and batch.count == 1:
-            g = mc._kernel_matrix(model, kernel)
+            mc._kernel_matrix(model, kernel)
             mc._check_dims(batch, model)
-            neighborhood_pull(*_tied_pull(model.centroids, g, batch.samples[0],
-                                          eps * terms[2], terms[3] and kernel.is_identity))
+            neighborhood_pull(*_tied_pull(model.centroids, kernel, batch.samples[0],
+                                          eps * terms[2]))
         else:
             gmu, gd, gpi = grad_smoothed(batch, model, kernel)
             enforce_constraints(model, *_apply(model, config, eps, gmu, gd, gpi))
@@ -355,19 +356,15 @@ def sgd_step(state: TrainState, batch: DataSet, config: TrainConfig) -> TrainSta
 
 
 def _tied_terms(state: TrainState) -> tuple:
-    """The terms (d, weights, p, one_row, mu) of the state's tied model, made
-    afresh when its d, weights or centroids are not the arrays they were
-    made from, or d or the weights were made writeable again: the model is
-    validated, p is the pull's scalar d^2, and one_row says that the
-    centroids mu held no -0.0 when the terms were made (see
-    ``somstep._tied_pull``)."""
+    """The terms (d, weights, p) of the state's tied model, made afresh when
+    its d or weights are not the arrays they were made from, or were made
+    writeable again: the model is validated and p is the pull's scalar d^2."""
     terms, model = state.tied_terms, state.model
-    d, weights, mu = model.precision_roots, model.weights, model.centroids
+    d, weights = model.precision_roots, model.weights
     if (terms is None or terms[0] is not d or terms[1] is not weights
-            or terms[4] is not mu or d.flags.writeable or weights.flags.writeable):
+            or d.flags.writeable or weights.flags.writeable):
         model.validate()
-        one_row = not np.any(np.signbit(mu) & (mu == 0.0))
-        terms = state.tied_terms = (d, weights, model.tied_precision_root ** 2, one_row, mu)
+        terms = state.tied_terms = (d, weights, model.tied_precision_root ** 2)
     return terms
 
 
@@ -452,8 +449,6 @@ def make_state(config: TrainConfig, data: DataSet, resume: dict | None = None) -
     state.probe = _probe_subset(data)
     if resume is None and config.init_mode == "data_mean":
         model.centroids[...] = state.stats.mean
-    if model.tied_spherical:
-        _tied_terms(state)
     return state
 
 
@@ -475,9 +470,9 @@ def run(config: TrainConfig, data: DataSet, resume: dict | None = None) -> Train
         if config.loss_regime != "exact":
             _regime_kernel(state, _sigma(config, 0))
         _log_row(state, config)
-    one_row = config.batch_size == 1
+    single = config.batch_size == 1
     for idx in _batch_indices(config, state.rng, data.count, state.t):
-        rows = samples[idx[0], None] if one_row else samples[idx]
+        rows = samples[idx[0], None] if single else samples[idx]
         sgd_step(state, mc._trusted_dataset(rows, {"batch": True}), config)
     return state
 

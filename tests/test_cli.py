@@ -173,6 +173,8 @@ image_cols = 2
         ("tied = true", "tied = true\ntrain_precisions = true"),
         # A size numpy cannot allocate on any machine: a K x K kernel.
         ("components = 4", "components = 100000000000000000000"),
+        # A minibatch index array numpy cannot make on any machine.
+        ("seed = 5", "seed = 5\nbatch_size = 1000000000000000000000000000000"),
         # The exact regime refuses the sigma keys before any size check;
         # test_oversized_exact_run_exit_1 drops them.
         ("loss_regime = smoothed\ncomponents = 4",
@@ -624,6 +626,28 @@ class TestInspectAndErrors:
 
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_out_of_memory_exit_1(self, trained, tmp_path, monkeypatch, capsys, command):
+        # A request too large for the machine (a huge K, batch_size or -n)
+        # ends in numpy's MemoryError.  It is raised here, not allocated.
+        text = ("Unable to allocate 7.28 TiB for an array with shape "
+                "(1, 1000000000000) and data type int64")
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(text)
+
+        if command == "train":
+            monkeypatch.setattr(cli, "train_run", too_large)
+            argv = ["train", "--config", str(write_training_setup(tmp_path))]
+        else:
+            monkeypatch.setattr(cli.inference, "sample", too_large)
+            argv = ["sample", "--model", str(trained / "out" / "model.ckpt"), "-n", "3",
+                    "--seed", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {text}\n"
+        assert captured.out == ""
 
     def test_numeric_abort_exit_3(self, monkeypatch, capsys):
         def boom(path):

@@ -73,6 +73,12 @@ def test_an_upward_import_is_found(tmp_path):
     assert list(sibling_imports(path)) == ["cli", "model", "io", "trainer", "sombridge"]
 
 
+def test_the_som_step_imports_only_the_backend():
+    # ``somstep._tied_pull`` reads a kernel's ``g`` and ``is_identity`` as
+    # attributes, with no ``topology`` import.
+    assert set(sibling_imports(PACKAGE / "somstep.py")) == {"backend"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_private_name_is_imported_from_the_trainer(path):
     assert list(private_imports(path, "trainer")) == []

@@ -218,6 +218,50 @@ class TestSomUpdate:
             som_update(view, x, eps)
             assert np.array_equal(view.prototypes, state.model.centroids)
 
+    @pytest.mark.parametrize("regime,sigma", [("max_component", 0.0), ("smoothed", 0.7)])
+    def test_negative_zero_centroids_step_like_sgd_step(self, rng, regime, sigma):
+        # Column 0 of the centroids holds -0.0 and x_0 >= 0, where the full
+        # pull makes +0.0.  The update and the tied sgd_step write the same
+        # bits, and under the identity kernel every row that no step has
+        # pulled keeps its -0.0.
+        K, D, lr = 9, 3, 0.1
+        model = random_model(rng, K, D, tied=True)
+        model.centroids[:, 0] = -0.0
+        top = GridTopology("2d", K)
+        view = SomView(model.copy(), top, build_kernel(top, sigma))
+        cfg = TrainConfig(regime, K, 10, eps_schedule=AnnealingSchedule(lr, lr, 0, 10),
+                          sigma_schedule=AnnealingSchedule(sigma, sigma, 0, 10)
+                          if regime == "smoothed" else None,
+                          tied_spherical=True, seed=0)
+        xs = rng.normal(size=(8, D))
+        xs[:, 0] = np.abs(xs[:, 0])
+        state = make_state(cfg, DataSet(xs))
+        state.model = model
+        pulled = set()
+        for x in xs:
+            pulled.add(bmu(x, view))
+            sgd_step(state, DataSet(x[None, :]), cfg)
+            som_update(view, x, lr * model.tied_precision_root ** 2)
+            assert view.prototypes.tobytes() == model.centroids.tobytes()
+        unpulled = sorted(set(range(K)) - pulled)
+        if view.kernel.is_identity:
+            assert unpulled and np.signbit(model.centroids[unpulled, 0]).all()
+        else:
+            assert not np.signbit(model.centroids[:, 0]).any()
+
+    def test_identity_kernel_pulls_one_row_view(self, rng, monkeypatch):
+        pulls = []
+
+        def recording_pull(centroids, coeff, diff, _fn=sombridge.neighborhood_pull):
+            pulls.append((centroids.shape[0], centroids.base is view.prototypes))
+            return _fn(centroids, coeff, diff)
+
+        monkeypatch.setattr(sombridge, "neighborhood_pull", recording_pull)
+        view = identity_view(random_model(rng, 9, 3, tied=True))
+        for x in rng.normal(size=(5, 3)):
+            som_update(view, x, 0.1)
+        assert pulls == [(1, True)] * 5
+
 
 class TestVerifyEquivalence:
     def test_identity_holds_on_random_tied_instances(self, rng):

@@ -512,12 +512,15 @@ def assert_same_bits(a, b):
 
 def assert_uniform_d_never_moves(rng, regime, K, D, init_dsq):
     """A tied run from a uniform d that is one ulp away from its own mean
-    steps bitwise like the reference step, uses the kept terms from its
-    first step, and leaves d and the weights exactly as make_state set them."""
+    steps bitwise like the reference step, makes its terms at its first step
+    and uses them from then on, and leaves d and the weights exactly as
+    make_state set them."""
     cfg, data, state, kernel = tied_state(rng, regime, K, D, init_dsq)
     d, weights = state.model.precision_roots, state.model.weights
     assert d.mean() != math.sqrt(init_dsq)
-    assert all(tied_step(state, cfg, kernel, x) for x in data.samples[:8])
+    assert state.tied_terms is None
+    assert not tied_step(state, cfg, kernel, data.samples[0])
+    assert all(tied_step(state, cfg, kernel, x) for x in data.samples[1:8])
     assert state.model.precision_roots is d
     assert state.model.weights is weights
     assert np.all(d == math.sqrt(init_dsq))
@@ -569,7 +572,8 @@ class TestSettledRetie:
     def test_uniform_ulp_drift_then_settles(self, rng):
         # sqrt(3) over 25 x 64 and sqrt(8.551) over 5 x 5: the per-step
         # average moved d one ulp on the first steps before it settled.  d is
-        # settled from make_state on, and every step uses the kept terms.
+        # settled from make_state on, and every step after the first uses the
+        # terms that the first kept.
         for K, D, init_dsq in ((25, 64, 3.0), (5, 5, 8.551)):
             assert_uniform_d_never_moves(rng, "max_component", K, D, init_dsq)
 
@@ -792,13 +796,13 @@ def assert_steps_like_a_fresh_state(state, cfg, data, samples):
         for s in (state, fresh):
             sgd_step(s, DataSet(x[None, :]), cfg)
         assert_same_bits(state.model, fresh.model)
-    assert state.tied_terms[2:4] == fresh.tied_terms[2:4]
+    assert state.tied_terms[2] == fresh.tied_terms[2]
     for a, b in zip(state.tied_terms[:2], fresh.tied_terms):
         assert a.tobytes() == b.tobytes()
 
 
 class TestTiedTerms:
-    """make_state keeps a tied run's terms on its state.  The tied
+    """A tied run's first step keeps the run's terms on its state.  The tied
     single-sample step uses them while the model holds the read-only d and
     weights they were made from, ties any other model afresh, and equals the
     reference step bit for bit."""
@@ -806,12 +810,14 @@ class TestTiedTerms:
     @pytest.mark.parametrize("regime", ["smoothed", "max_component"])
     def test_settled_steps_use_the_terms(self, rng, regime):
         cfg, data, state, kernel = tied_state(rng, regime)
+        assert state.tied_terms is None
+        assert not tied_step(state, cfg, kernel, data.samples[0])
         terms = state.tied_terms
         assert terms[0] is state.model.precision_roots
         assert terms[1] is state.model.weights
-        assert all(tied_step(state, cfg, kernel, x) for x in data.samples)
+        assert all(tied_step(state, cfg, kernel, x) for x in data.samples[1:])
         assert not any(arr.flags.writeable for arr in terms[:2])
-        assert terms[2] == math.sqrt(5.0) ** 2 and terms[3]
+        assert terms[2] == math.sqrt(5.0) ** 2 and len(terms) == 3
 
     def test_ulp_drift_before_settling(self, rng):
         # The smoothed step at the shapes whose d the per-step average used
@@ -865,11 +871,12 @@ class TestTiedTerms:
         assert d.flags.c_contiguous and not d.flags.writeable
 
     def test_model_swapped_for_a_copy(self, rng):
+        # A copy shares the frozen d and weights, so it shares the terms.
         cfg, data, state, kernel = tied_state(rng)
         for x in data.samples[:5]:
             tied_step(state, cfg, kernel, x)
         state.model = state.model.copy()
-        assert not tied_step(state, cfg, kernel, data.samples[10])
+        assert tied_step(state, cfg, kernel, data.samples[10])
         assert_steps_like_a_fresh_state(state, cfg, data, data.samples[11:16])
 
     def test_model_swapped_for_another(self, rng):
@@ -909,7 +916,8 @@ class TestTiedTerms:
 def frozen_tied_step(model, terms, kernel, eps, x):
     """The reference tied single-sample step, without the guard and the
     one-row pull: the winner of the exact energies, then the pull of every
-    row."""
+    row.  It differs from the one-row pull only in the sign of a zero: it
+    turns a -0.0 centroid entry with x_i >= 0 into +0.0."""
     g, mu = kernel.g, model.centroids
     diff = x - mu
     coupling = g[screened_winner(g, x, mu)]
@@ -941,7 +949,7 @@ def screened_winner(g, x, mu):
 
 
 def tied_terms_of(model, K):
-    """A tied model's run terms, made as ``make_state`` makes them."""
+    """A tied model's run terms, made as a run's first tied step makes them."""
     state = trainer_mod.TrainState(model, 0, None, GridTopology("1d", K))
     return trainer_mod._tied_terms(state)
 
@@ -968,9 +976,8 @@ def assert_tied_step_exact(model, kernel, eps, x, terms=None):
     if terms is None:
         terms = tied_terms_of(model, model.n_components)
     want = model.copy()
-    trainer_mod.neighborhood_pull(*somstep._tied_pull(model.centroids, kernel.g, x,
-                                                      eps * terms[2],
-                                                      terms[3] and kernel.is_identity))
+    trainer_mod.neighborhood_pull(*somstep._tied_pull(model.centroids, kernel, x,
+                                                      eps * terms[2]))
     frozen_tied_step(want, terms, kernel, eps, x)
     assert model.centroids.tobytes() == want.centroids.tobytes()
 
@@ -1246,8 +1253,7 @@ def tied_k25_d64_run():
 
 class TestOneRowPull:
     """Once the kernel is the identity, the tied step pulls the winner's
-    row alone, through a one-row view, unless the run started with a -0.0
-    in its centroids."""
+    row alone, through a one-row view."""
 
     @staticmethod
     def record_pulls(monkeypatch):
@@ -1255,9 +1261,9 @@ class TestOneRowPull:
         per tied step."""
         steps = []
 
-        def recording_step(mu, g, x, rate, one_row, _fn=trainer_mod._tied_pull):
-            steps.append([np.count_nonzero(g) == g.shape[0], mu])
-            return _fn(mu, g, x, rate, one_row)
+        def recording_step(mu, kernel, x, rate, _fn=trainer_mod._tied_pull):
+            steps.append([np.count_nonzero(kernel.g) == kernel.g.shape[0], mu])
+            return _fn(mu, kernel, x, rate)
 
         def recording_pull(centroids, coeff, diff, _fn=neighborhood_pull):
             steps[-1][1] = (centroids.shape[0], centroids.base is steps[-1][1])
@@ -1284,9 +1290,10 @@ class TestOneRowPull:
         assert len(identity) > 100 and all(p == (1, True) for p in identity)
         assert all(p == (25, False) for one_hot, p in steps if not one_hot)
 
-    def test_negative_zero_start_takes_the_full_pull(self, rng):
-        # Column 0 of the data is >= 0, so the full pull turns each -0.0
-        # there into +0.0, also in the far rows 5-8, which never win.
+    def test_negative_zero_start_keeps_the_far_rows_sign(self, rng):
+        # Column 0 of the data is >= 0, so the full pull would turn each -0.0
+        # there into +0.0; the one-row pull leaves it in the far rows 5-8,
+        # which never win.  Up to that sign the run is the frozen step's.
         cfg = basic_config("max_component", K=9, T=200, tied_spherical=True,
                            init_dsq=2.0, eps_schedule=flat_schedule(EPS))
         data = random_data(rng, 50, 3)
@@ -1299,19 +1306,13 @@ class TestOneRowPull:
 
         got = run(cfg, data, resume).model
         want = make_state(cfg, data, resume).model
-        state = make_state(cfg, data, resume)
-        assert not state.tied_terms[3]
-        forced = state.tied_terms[:3] + (True,) + state.tied_terms[4:]
+        terms = tied_terms_of(want, 9)
         kernel = NeighborhoodKernel(np.eye(9), 0.0)
         for idx in trainer_mod._batch_indices(cfg, np.random.default_rng(9), 50, 0):
-            x = data.samples[idx[0]]
-            frozen_tied_step(want, forced, kernel, EPS, x)
-            neighborhood_pull(*somstep._tied_pull(state.model.centroids, kernel.g, x,
-                                                  EPS * forced[2], forced[3] and kernel.is_identity))
-        assert got.centroids.tobytes() == want.centroids.tobytes()
-        # The one-row pull, were it taken, would keep the far rows' -0.0.
-        assert np.array_equal(state.model.centroids, want.centroids)
-        assert np.signbit(state.model.centroids[5:, 0]).all()
+            frozen_tied_step(want, terms, kernel, EPS, data.samples[idx[0]])
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.centroids[:5].tobytes() == want.centroids[:5].tobytes()
+        assert np.signbit(got.centroids[5:, 0]).all()
         assert not np.signbit(want.centroids[:, 0]).any()
 
 
