@@ -25,9 +25,9 @@ model hits after one identity check per array.  Any other array, such as a
 writeable one, a read-only view (a write through its base changes it) or an
 array made writeable again, misses and is computed afresh.  The untied
 single-sample training step (``trainer._sample_gradients``) calls
-``_fresh_terms`` directly: untied training gives the model new d and
-weights on every step, so the memo could never serve it and an entry would
-only cost its bookkeeping.
+``_fresh_terms`` directly: a run that trains d or the weights gives the
+model new arrays for them on every step, so the memo could never serve it
+and an entry would only cost its bookkeeping.
 
 The memo keeps no array alive and copies none, so it holds one K x D array,
 P.  Holding a second one, a copy of d next to P, moved the ``digits_infer``

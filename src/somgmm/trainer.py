@@ -121,8 +121,9 @@ class DataStats:
 
 @dataclass
 class TrainState:
-    """A run in progress.  A tied model's d and weights, frozen like every
-    model's, are fixed for the run: its first tied step validates the model
+    """A run in progress.  A parameter its config does not train keeps its
+    frozen array for the run (``_apply``).  A tied config trains neither d
+    nor the weights: the first tied step validates the model
     and keeps ``tied_terms = (d, weights, p)`` with the scalar ``p = d^2``
     of the pull ``somstep._tied_pull`` that the step shares with
     ``sombridge.som_update`` (see ``_tied_terms``).  A tied step uses them
@@ -265,25 +266,26 @@ def neighborhood_pull(centroids: np.ndarray, coeff: np.ndarray, diff: np.ndarray
     centroids += diff
 
 
-def enforce_constraints(model: MixtureModel, precision_roots: np.ndarray,
-                        weights: np.ndarray) -> MixtureModel:
-    """Give an untied model new precision roots, the given ones clamped to
+def enforce_constraints(model: MixtureModel, precision_roots: np.ndarray | None,
+                        weights: np.ndarray | None) -> MixtureModel:
+    """Give the model new precision roots, the given ones clamped to
     [D_MIN, D_MAX], and new weights, the given ones renormalized onto the
-    (floored) simplex.  A tied model is left as it is: its d and weights
-    are set once per run (``make_state``)."""
-    if model.tied_spherical:
-        return model
+    (floored) simplex.  A parameter given as None keeps the model's array:
+    a step passes only what its config trains (``_apply``)."""
     # Bitwise np.clip, NaN kept, without its wrapper.  Each result is a new
     # array, made read-only here and kept by the model without a copy.
-    d = np.maximum(precision_roots, D_MIN)
-    np.minimum(d, D_MAX, out=d)
-    w = np.maximum(weights, WEIGHT_FLOOR)
-    w /= np.add.reduce(w)
-    np.maximum(w, WEIGHT_FLOOR, out=w)
-    w /= np.add.reduce(w)
-    d.setflags(write=False)
-    w.setflags(write=False)
-    model.precision_roots, model.weights = d, w
+    if precision_roots is not None:
+        d = np.maximum(precision_roots, D_MIN)
+        np.minimum(d, D_MAX, out=d)
+        d.setflags(write=False)
+        model.precision_roots = d
+    if weights is not None:
+        w = np.maximum(weights, WEIGHT_FLOOR)
+        w /= np.add.reduce(w)
+        np.maximum(w, WEIGHT_FLOOR, out=w)
+        w /= np.add.reduce(w)
+        w.setflags(write=False)
+        model.weights = w
     return model
 
 
@@ -370,15 +372,14 @@ def _tied_terms(state: TrainState) -> tuple:
 
 def _apply(model, config, eps, gmu, gd, gpi):
     """Step the centroids in place and return the stepped precision roots
-    and weights, new arrays where they are trained, for
-    ``enforce_constraints`` to give the model."""
+    and weights as new arrays, each only if the config trains it and None
+    otherwise, for ``enforce_constraints`` to give the model.  An untrained
+    parameter keeps its frozen array for the whole run; a tied config
+    trains neither (``TrainConfig.validate``)."""
     mu = model.centroids
     mu += eps * gmu
-    d, w = model.precision_roots, model.weights
-    if config.train_precisions:
-        d = d + eps * gd
-    if config.train_weights:
-        w = w + eps * gpi
+    d = model.precision_roots + eps * gd if config.train_precisions else None
+    w = model.weights + eps * gpi if config.train_weights else None
     return d, w
 
 

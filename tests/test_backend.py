@@ -422,6 +422,14 @@ def no_cpu_count():
     raise AssertionError("the CPUs were counted")
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert backend._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert backend._usable_cpus() == 1
+
+
 class TestParts:
     """``_parts``: the one rule for how many parts both parallel paths use."""
 

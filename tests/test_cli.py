@@ -199,6 +199,39 @@ image_cols = 2
             if len(at) > 1:
                 assert f"line {at[1]}: key {key!r} repeats line {at[0]}" in err
 
+    @pytest.mark.parametrize("edits, message", [
+        ((("seed = 5", "seed = 5\ngrid"),), r"line \d+: expected key=value"),
+        ((("seed = 5", "seed = 5\nbatch_size = 0"),), "batch_size must be >= 1"),
+        ((("seed = 5", "seed = 5\ninit_mode = foo"),), "unknown init mode 'foo'"),
+        ((("components = 4", "components = 0"),), "need at least one component"),
+        # Absolute times: with 0.3T times the schedule check refuses first.
+        ((("total_iters = 600", "total_iters = 0"), ("t0 = 0.3T", "t0 = 100"),
+          ("t_inf = 0.7T", "t_inf = 400")), "total_iters must be >= 1"),
+    ])
+    def test_refused_config_names_its_fault(self, tmp_path, capsys, edits, message):
+        cfg = write_training_setup(tmp_path)
+        text = cfg.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert re.search(message, err)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1.0,2.0\n3.0,abc\n", r"train\.csv: line 2: could not convert"),
+        ("\n  \n\n", r"train\.csv: no data rows"),
+    ])
+    def test_malformed_csv_data_exit_2(self, tmp_path, capsys, rows, message):
+        cfg = write_training_setup(tmp_path)
+        (tmp_path / "train.csv").write_text(rows)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert re.search(message, err)
+
     @staticmethod
     def without_sigma_keys(text):
         return text.replace("sigma0 = 1.0\n", "").replace("sigma_inf = 0.01\n", "")
@@ -623,6 +656,17 @@ class TestInspectAndErrors:
             captured = capsys.readouterr()
             assert "data error" in captured.err and "must be finite" in captured.err
             assert captured.out == ""
+
+    def test_topology_of_another_size_exit_2(self, trained, tmp_path, capsys):
+        # save_checkpoint does not compare the header's topology with the
+        # arrays; the loader refuses the file.
+        good = load_checkpoint(trained / "out" / "model.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(str(bad), dataclasses.replace(good, topology=GridTopology("2d", 9)))
+        assert cli.main(["inspect", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert "topology and model differ in component count" in err
 
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -122,6 +122,15 @@ class TestIdx:
         with pytest.raises(DataError, match="magic"):
             load_idx(path)
 
+    def test_write_idx_refuses_what_it_cannot_write(self, tmp_path):
+        path = tmp_path / "out.idx"
+        with pytest.raises(UsageError, match="idx_dims metadata does not match"):
+            write_idx(DataSet(np.zeros((2, 4)), {"idx_dims": [3, 2, 2]}), path)
+        for value in (-0.01, 1.01):
+            with pytest.raises(DataError, match=r"outside \[0, 1\]"):
+                write_idx(DataSet(np.full((2, 4), value)), path)
+        assert not path.exists()
+
     def test_truncated_payload(self, tmp_path):
         raw = make_idx_bytes(np.zeros((2, 2, 2), dtype=np.uint8))
         path = tmp_path / "trunc.idx"
@@ -188,6 +197,11 @@ class TestCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DataError, match="line 2"):
             load_csv(path)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("\n1.0,2.0\n\n   \n3.0,4.0\n\n")
+        assert np.array_equal(load_csv(path).samples, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_round_trip_large(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -308,6 +308,11 @@ def test_losses_invariant_under_component_permutation(rng):
         smoothed_log_likelihood(data, m, kernel), rel=1e-12)
 
 
+def test_untied_model_has_no_tied_precision_root(rng):
+    with pytest.raises(UsageError, match="not tied_spherical"):
+        random_model(rng, 3, 2).tied_precision_root
+
+
 def test_model_invariants_enforced():
     with pytest.raises(UsageError):
         MixtureModel([0.6, 0.5], [[0.0], [1.0]], [[1.0], [1.0]]).validate()
@@ -317,6 +322,12 @@ def test_model_invariants_enforced():
         MixtureModel(
             [0.5, 0.5], [[0.0], [1.0]], [[1.0], [2.0]], tied_spherical=True
         ).validate()
+    for weights, roots, message in (
+            ([1.0], [[1.0], [1.0]], "weights must have length K"),
+            ([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]], "precision_roots must match"),
+            ([1.5, -0.5], [[1.0], [1.0]], "weights must be non-negative")):
+        with pytest.raises(UsageError, match=message):
+            MixtureModel(weights, [[0.0], [1.0]], roots).validate()
 
 
 class TestFrozenArrays:

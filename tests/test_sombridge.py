@@ -30,6 +30,16 @@ def identity_view(model, grid="2d"):
     return SomView(model, top, NeighborhoodKernel(np.eye(K), 0.0))
 
 
+class TestSomView:
+    def test_sizes_must_match_the_model(self, rng):
+        model = random_model(rng, 4, 3, tied=True)
+        top, other = GridTopology("2d", 4), GridTopology("2d", 9)
+        with pytest.raises(UsageError, match="topology size does not match"):
+            SomView(model, other, build_kernel(top, 0.7))
+        with pytest.raises(UsageError, match="kernel size does not match"):
+            SomView(model, top, build_kernel(other, 0.7))
+
+
 class TestSomEnergy:
     def test_single_prototype_at_sample(self):
         m = MixtureModel([1.0], [[1.0, 2.0]], [[1.5, 1.5]], tied_spherical=True)
@@ -59,6 +69,11 @@ class TestSomEnergy:
                 best = min(best, conv)
             total += best
         assert som_energy(data, view) == pytest.approx(total / 6, rel=1e-12)
+
+    def test_wrong_dimension_refused(self, rng):
+        view = tied_view(rng, K=4, D=3)
+        with pytest.raises(UsageError, match="data dimension does not match"):
+            som_energy(random_data(rng, 5, 2), view)
 
     def test_row_chunking_is_bitwise(self, rng, monkeypatch):
         view = tied_view(rng, K=9, D=5, sigma=0.7)

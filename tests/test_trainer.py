@@ -340,14 +340,31 @@ class TestEnforceConstraints:
         enforce_constraints(m, m.precision_roots, m.weights)
         assert m.precision_roots[0, 0] == 1e3
 
+    def test_none_keeps_the_array(self, rng):
+        m = random_model(rng, 5, 2)
+        d, w = m.precision_roots, m.weights
+        enforce_constraints(m, None, 2.0 * w)
+        assert m.precision_roots is d
+        assert m.weights is not w and np.allclose(m.weights, w, rtol=1e-15)
+        w = m.weights
+        enforce_constraints(m, 2.0 * d, None)
+        assert m.weights is w
+        assert np.array_equal(m.precision_roots, 2.0 * d)
+        assert enforce_constraints(m, None, None) is m
+        assert m.weights is w and m.precision_roots is not d
+
     def test_tied_model_left_as_is(self):
-        # A tied model's d and weights are set once per run, by make_state.
+        # A tied step hands enforce_constraints neither d nor the weights
+        # (TrainConfig.validate refuses a tied config that trains either),
+        # and a tied model whose d or weights were replaced is refused by
+        # its step's terms (_tied_terms) before anything changes.
         m = MixtureModel([0.5, 0.5], [[0.0], [1.0]], [[2.0], [2.0]],
                          tied_spherical=True)
         m.weights = np.array([0.6, 0.4])
         m.precision_roots = np.array([[1e9], [2.0]])
         want = m.copy()
-        enforce_constraints(m, m.precision_roots, m.weights)
+        for regime, batch_size in (("smoothed", 1), ("smoothed", 3), ("exact", 4)):
+            assert_refused(m, "precision roots must lie", regime, batch_size)
         assert_same_bits(m, want)
 
 
@@ -407,14 +424,17 @@ def in_place_apply(mu, d, w, train_precisions, train_weights, eps, gmu, gd, gpi)
         w += eps * gpi
 
 
-def in_place_constraints(d, w):
-    """Oracle: ``enforce_constraints`` as it was written in place."""
-    np.maximum(d, D_MIN, out=d)
-    np.minimum(d, D_MAX, out=d)
-    np.maximum(w, WEIGHT_FLOOR, out=w)
-    w /= np.add.reduce(w)
-    np.maximum(w, WEIGHT_FLOOR, out=w)
-    w /= np.add.reduce(w)
+def in_place_constraints(d, w, train_precisions=True, train_weights=True):
+    """Oracle: ``enforce_constraints`` as it was written in place, on the
+    trained parameters only."""
+    if train_precisions:
+        np.maximum(d, D_MIN, out=d)
+        np.minimum(d, D_MAX, out=d)
+    if train_weights:
+        np.maximum(w, WEIGHT_FLOOR, out=w)
+        w /= np.add.reduce(w)
+        np.maximum(w, WEIGHT_FLOOR, out=w)
+        w /= np.add.reduce(w)
 
 
 def fp_errors(f, *args):
@@ -443,8 +463,9 @@ def weights_summing_to(rng, K, target):
 
 
 class TestFreshArrayUpdates:
-    """``_apply`` and ``enforce_constraints`` build new arrays; bit for bit,
-    and floating-point errors alike, they are the in-place oracles."""
+    """``_apply`` and ``enforce_constraints`` build new arrays for the
+    trained parameters and leave the model's arrays for the others; bit for
+    bit, and floating-point errors alike, they are the in-place oracles."""
 
     def weight_cases(self, rng):
         one = 1.0
@@ -460,7 +481,10 @@ class TestFreshArrayUpdates:
 
     def check(self, d, w, step=None):
         m = MixtureModel(w, np.zeros(d.shape), d)
+        was_d, was_w = m.precision_roots, m.weights
         want_d, want_w, want_mu = d.copy(), w.copy(), np.zeros(d.shape)
+        trains = (True, True) if step is None else (step[0].train_precisions,
+                                                   step[0].train_weights)
 
         def new():
             if step is None:
@@ -470,14 +494,15 @@ class TestFreshArrayUpdates:
 
         def old():
             if step is not None:
-                in_place_apply(want_mu, want_d, want_w, step[0].train_precisions,
-                               step[0].train_weights, *step[1:])
-            in_place_constraints(want_d, want_w)
+                in_place_apply(want_mu, want_d, want_w, *trains, *step[1:])
+            in_place_constraints(want_d, want_w, *trains)
 
         assert fp_errors(new) == fp_errors(old)
         for got, want in ((m.precision_roots, want_d), (m.weights, want_w),
                           (m.centroids, want_mu)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (m.precision_roots is was_d, m.weights is was_w) == (not trains[0],
+                                                                    not trains[1])
 
     def test_enforce_constraints(self, rng):
         for w in self.weight_cases(rng):
@@ -497,6 +522,52 @@ class TestFreshArrayUpdates:
                 grads = (rng.normal(size=(K, 3)), rng.choice(ROOTS, (K, 3)),
                          rng.normal(size=K))
                 self.check(d, w, (cfg, eps, *grads))
+
+
+class TestUntrainedParametersStay:
+    """A step gives the model new arrays only for the parameters its config
+    trains: an untrained one stays the frozen array make_state set, bit for
+    bit, for the whole run."""
+
+    @pytest.mark.parametrize("regime", ["max_component", "smoothed"])
+    @pytest.mark.parametrize("K", [49, 100])
+    @pytest.mark.parametrize("train_weights, train_precisions",
+                             [(False, True), (True, False), (False, False)])
+    def test_untied_run(self, regime, K, train_weights, train_precisions):
+        # 1/K summed over K = 49 or 100 is an ulp below 1, so weights
+        # renormalised although untrained would move.
+        cfg = basic_config(regime, K=K, T=30, grid="1d", init_dsq=2.0,
+                           train_weights=train_weights,
+                           train_precisions=train_precisions)
+        data = random_data(np.random.default_rng(K), 30, 2)
+        state = make_state(cfg, data)
+        w, d = state.model.weights, state.model.precision_roots
+        kept = w.tobytes(), d.tobytes()
+        for x in data.samples:
+            sgd_step(state, DataSet(x[None, :]), cfg)
+            m = state.model
+            keeps_w, keeps_d = not train_weights, not train_precisions
+            assert (m.weights.tobytes() == kept[0], m.weights is w) == (keeps_w, keeps_w)
+            assert (m.precision_roots.tobytes() == kept[1],
+                    m.precision_roots is d) == (keeps_d, keeps_d)
+        assert state.t == cfg.total_iters
+
+    @pytest.mark.parametrize("regime, batch_size", [("smoothed", 3), ("exact", 4)])
+    def test_tied_step_hands_over_no_array(self, rng, monkeypatch, regime, batch_size):
+        cfg = basic_config(regime, K=4, tied_spherical=True, batch_size=batch_size)
+        data = random_data(rng, 20, 2)
+        state = make_state(cfg, data)
+        given = []
+
+        def record(model, precision_roots, weights):
+            given.append((precision_roots, weights))
+            return enforce_constraints(model, precision_roots, weights)
+
+        monkeypatch.setattr(trainer_mod, "enforce_constraints", record)
+        for t in range(3):
+            sgd_step(state, DataSet(data.samples[t:t + batch_size]), cfg)
+        assert len(given) == 3
+        assert all(d is None and w is None for d, w in given)
 
 
 def tied_model(d, K=25, D=64):
